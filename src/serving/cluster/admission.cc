@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/obs.h"
 #include "util/check.h"
 
 namespace nmcdr {
@@ -46,9 +47,25 @@ bool AdmissionQueue::TryPush(AdmissionTicket* ticket) {
 void AdmissionQueue::PopBatch(int max_batch, int64_t now_ns,
                               std::vector<AdmissionTicket>* batch,
                               std::vector<AdmissionTicket>* shed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  PopBatchLocked(max_batch, now_ns, batch, shed);
+}
+
+void AdmissionQueue::PopBatch(int max_batch,
+                              std::vector<AdmissionTicket>* batch,
+                              std::vector<AdmissionTicket>* shed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // With both deadlines off no ticket can expire, so skip the clock read.
+  const bool deadlines = options_.interactive_deadline_ms > 0.0 ||
+                         options_.batch_deadline_ms > 0.0;
+  PopBatchLocked(max_batch, deadlines ? obs::NowNs() : 0, batch, shed);
+}
+
+void AdmissionQueue::PopBatchLocked(int max_batch, int64_t now_ns,
+                                    std::vector<AdmissionTicket>* batch,
+                                    std::vector<AdmissionTicket>* shed) {
   batch->clear();
   shed->clear();
-  std::lock_guard<std::mutex> lock(mu_);
   batch->reserve(max_batch > 0 ? max_batch : 0);
   // Worst case every queued ticket is past deadline; capacities are
   // bounded, so this converges to a high-water no-op.

@@ -113,12 +113,25 @@ class AdmissionQueue {
                 std::vector<AdmissionTicket>* batch,
                 std::vector<AdmissionTicket>* shed) NMCDR_EXCLUDES(mu_);
 
+  /// The drainer's PopBatch: `now_ns` is obs::NowNs() read under the
+  /// queue lock, so it is no earlier than any visible ticket's
+  /// enqueued_ns. A clock read before the lock could predate a ticket
+  /// pushed while the caller waited, giving it a negative age that no
+  /// deadline sheds.
+  void PopBatch(int max_batch, std::vector<AdmissionTicket>* batch,
+                std::vector<AdmissionTicket>* shed) NMCDR_EXCLUDES(mu_);
+
   int Depth(RequestClass cls) const NMCDR_EXCLUDES(mu_);
   int TotalDepth() const NMCDR_EXCLUDES(mu_);
 
   const AdmissionOptions& options() const { return options_; }
 
  private:
+  void PopBatchLocked(int max_batch, int64_t now_ns,
+                      std::vector<AdmissionTicket>* batch,
+                      std::vector<AdmissionTicket>* shed)
+      NMCDR_REQUIRES(mu_);
+
   AdmissionOptions options_;
   mutable std::mutex mu_;
   std::deque<AdmissionTicket> interactive_;  // GUARDED_BY(mu_)

@@ -128,7 +128,7 @@ void ClusterServer::DrainLoop() {
   std::vector<RecRequest> requests;
   BatchShardScratch scratch;
   for (;;) {
-    admission_.PopBatch(options_.max_batch, obs::NowNs(), &batch, &shed);
+    admission_.PopBatch(options_.max_batch, &batch, &shed);
     for (AdmissionTicket& ticket : shed) {
       Shed(std::move(ticket), ClusterStatus::kShedDeadline);
     }

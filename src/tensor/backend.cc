@@ -436,9 +436,9 @@ Matrix SerialBackend::PlannedMatMulTransB(const Matrix& a,
 
 // ---------------------------------------------------------------------------
 // VectorBackend: the explicitly vectorized tile cores over the full output
-// on the caller's thread; everything outside the GEMM family delegates to
-// the serial reference (those kernels are memory-bound copies/element
-// loops the vector cores would not improve).
+// on the caller's thread. Outside the GEMM family only AxpyInto (gradient
+// accumulation, hundreds of calls per training step) has lane code; the
+// rest delegates to the serial reference.
 // ---------------------------------------------------------------------------
 
 void VectorBackend::MatMulAccumInto(const Matrix& a, const Matrix& b,
@@ -453,12 +453,8 @@ Matrix VectorBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix VectorBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
-  // One k*n transpose buys contiguous lane loads for the m*k*n GEMM; the
-  // per-element double chain is untouched (see PlannedMatMulTransB).
-  Matrix bt(b.cols(), b.rows());
-  TransposeRows(b, &bt, 0, b.rows());
   Matrix out(a.rows(), b.rows());
-  VectorMatMulTransBTile(a, bt, &out, 0, a.rows(), 0, b.rows());
+  VectorMatMulTransBTile(a, b, &out, 0, a.rows(), 0, b.rows());
   return out;
 }
 
@@ -484,7 +480,7 @@ Matrix VectorBackend::Axpby(const Matrix& a, float alpha, const Matrix& b,
 }
 
 void VectorBackend::AxpyInto(const Matrix& a, float alpha, Matrix* out) const {
-  SerialKernelBackend().AxpyInto(a, alpha, out);
+  VectorAxpyInto(a, alpha, out);
 }
 
 Matrix VectorBackend::Scale(const Matrix& a, float s) const {
@@ -599,14 +595,10 @@ Matrix ParallelBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix ParallelBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
-  // B is transposed once, inline (k*n against the m*k*n GEMM), then the
-  // output tiles shard; every tile reads the same bt.
-  Matrix bt(b.cols(), b.rows());
-  TransposeRows(b, &bt, 0, b.rows());
   Matrix out(a.rows(), b.rows());
   TiledGemm(pool(), a.rows(), b.rows(), a.cols(),
             [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-              VectorMatMulTransBTile(a, bt, &out, r0, r1, c0, c1);
+              VectorMatMulTransBTile(a, b, &out, r0, r1, c0, c1);
             });
   return out;
 }
@@ -897,7 +889,7 @@ const KernelBackend& BuiltinDefaultBackend() {
       // Unknown value: fall through to the production default rather than
       // aborting — the knob is a tuning hint, not configuration.
     }
-    return static_cast<const KernelBackend*>(&ParallelKernelBackend());
+    return static_cast<const KernelBackend*>(&VectorKernelBackend());
   }();
   return *backend;
 }

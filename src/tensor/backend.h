@@ -178,11 +178,12 @@ class SerialBackend final : public KernelBackend {
 };
 
 /// Single-threaded kernels with the GEMM family (and its fused epilogues)
-/// routed through the register-blocked, explicitly vectorized tile cores
-/// of tensor/vector_kernels.h; every other kernel delegates to the serial
-/// reference. Bit-exact with SerialBackend by the vector-core contract
-/// (same per-element IEEE sequence). Selected via NMCDR_BACKEND=vector or
-/// --backend vector.
+/// and AxpyInto routed through the register-blocked, explicitly vectorized
+/// cores of tensor/vector_kernels.h; every other kernel delegates to the
+/// serial reference. Bit-exact with SerialBackend by the vector-core
+/// contract (same per-element IEEE sequence). The process default: at the
+/// model's D = 16 shapes one thread of tile cores beats fanning each
+/// kernel out over the pool (DESIGN.md §9).
 class VectorBackend final : public KernelBackend {
  public:
   const char* name() const override { return "vector"; }
@@ -231,8 +232,8 @@ class VectorBackend final : public KernelBackend {
 /// enough tiles to feed every worker, chunked elementwise and activation
 /// loops, sharded GatherRows, column-sharded ColSum, and
 /// destination-row-sharded ScatterAddRows. Small inputs (below a
-/// per-kernel work grain) run the serial path inline, so pervasive
-/// dispatch through this backend never slows tiny training-step tensors.
+/// per-kernel work grain) run the serial path inline. Selected via
+/// NMCDR_BACKEND=parallel, --backend parallel, or a thread count > 1.
 class ParallelBackend final : public KernelBackend {
  public:
   /// `pool == nullptr` binds to ThreadPool::Shared() at call time (the
@@ -302,11 +303,11 @@ const KernelBackend* BackendByName(std::string_view name);
 /// innermost active BackendGuard if any, else the process default.
 const KernelBackend& CurrentBackend();
 
-/// Replaces the process-default backend (initially ParallelKernelBackend,
-/// or the backend NMCDR_BACKEND=serial|vector|parallel names in the
-/// environment). Pass nullptr to restore the built-in default. Not a
-/// synchronization point: call during startup, before concurrent kernel
-/// users exist.
+/// Replaces the process-default backend (initially VectorKernelBackend —
+/// one thread of SIMD tile cores — or the backend
+/// NMCDR_BACKEND=serial|vector|parallel names in the environment). Pass
+/// nullptr to restore the built-in default. Not a synchronization point:
+/// call during startup, before concurrent kernel users exist.
 void SetDefaultBackend(const KernelBackend* backend);
 
 /// RAII scoped backend override for the current thread only, so concurrent
@@ -325,8 +326,9 @@ class BackendGuard {
 };
 
 /// Maps a user-facing thread-count knob (TrainConfig::threads, --threads)
-/// to a backend override: 0 -> nullptr (inherit current), 1 ->
-/// SerialKernelBackend, >1 -> ParallelKernelBackend over the shared pool.
+/// to a backend override: 0 -> nullptr (inherit current, by default the
+/// one-thread vector backend), 1 -> SerialKernelBackend (the reference),
+/// >1 -> ParallelKernelBackend over the shared pool.
 const KernelBackend* BackendForThreads(int threads);
 
 }  // namespace nmcdr

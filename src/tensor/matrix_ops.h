@@ -15,7 +15,7 @@ namespace nmcdr {
 /// forwards to the currently selected KernelBackend (tensor/backend.h).
 /// Backends are bit-exact with each other — results do not depend on the
 /// backend or thread count. Select per-thread with BackendGuard or
-/// process-wide with SetDefaultBackend / NMCDR_BACKEND=serial.
+/// process-wide with SetDefaultBackend / NMCDR_BACKEND.
 
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n].
 Matrix MatMul(const Matrix& a, const Matrix& b);

@@ -19,10 +19,12 @@
 // inputs, in the one obvious order. There is no horizontal reduction, no
 // shuffle, no FMA (MulAdd is an explicit multiply THEN add; the TU using
 // it compiles with -ffp-contract=off so the compiler may not contract the
-// pair either). A kernel built from these lanes therefore computes each
-// output element with the same float/double operation sequence as a
-// scalar loop over the same element — which is the whole backend
-// equivalence contract (tensor/backend.h).
+// pair either). Splats, loads, stores and selects are plain copies of
+// the bits: no arithmetic, so −0.0 and NaN payloads pass through. A
+// kernel built from these lanes therefore computes each output element
+// with the same float/double operation sequence as a scalar loop over the
+// same element — which is the whole backend equivalence contract
+// (tensor/backend.h).
 
 #if defined(__GNUC__) && !defined(NMCDR_SIMD_FORCE_SCALAR)
 #define NMCDR_SIMD_VECTOR_EXT 1
@@ -55,8 +57,11 @@ struct F64x4 {
 
 inline F32x8 ZeroF32() { return F32x8{F32x8::Native{}}; }
 
+/// Copies x into every lane. A copy, not `Native{} + x`: that broadcast is
+/// an add, which turns −0.0 into +0.0.
 inline F32x8 SplatF32(float x) {
-  return F32x8{F32x8::Native{} + x};  // scalar-vector op broadcasts
+  static_assert(kFloatLanes == 8, "one initializer per lane");
+  return F32x8{F32x8::Native{x, x, x, x, x, x, x, x}};
 }
 
 inline F32x8 LoadF32(const float* p) {
@@ -70,18 +75,31 @@ inline void StoreF32(float* p, F32x8 a) { std::memcpy(p, &a.v, sizeof(a.v)); }
 inline F32x8 Add(F32x8 a, F32x8 b) { return F32x8{a.v + b.v}; }
 inline F32x8 Mul(F32x8 a, F32x8 b) { return F32x8{a.v * b.v}; }
 
+/// Lane j = key[j] != 0 ? if_nonzero[j] : if_zero[j] (−0.0 counts as
+/// zero, NaN as nonzero — the scalar `key != 0.f` test).
+inline F32x8 SelectNonZero(F32x8 key, F32x8 if_nonzero, F32x8 if_zero) {
+  return F32x8{key.v != 0.f ? if_nonzero.v : if_zero.v};
+}
+
+/// Lane-wise ReluScalar: x > 0 ? x : +0.0 (−0.0 and NaN map to +0.0).
+inline F32x8 Relu(F32x8 x) {
+  return F32x8{x.v > 0.f ? x.v : F32x8::Native{}};
+}
+
 inline F64x4 ZeroF64() { return F64x4{F64x4::Native{}}; }
 
-inline F64x4 SplatF64(double x) { return F64x4{F64x4::Native{} + x}; }
-
-/// Widens 4 consecutive floats to double lanes (exact — float -> double is
-/// value-preserving).
-inline F64x4 WidenLoadF64(const float* p) {
-  typedef float Half __attribute__((vector_size(kDoubleLanes * sizeof(float))));
-  Half h;
-  std::memcpy(&h, p, sizeof(h));
-  return F64x4{__builtin_convertvector(h, F64x4::Native)};
+inline F64x4 SplatF64(double x) {
+  static_assert(kDoubleLanes == 4, "one initializer per lane");
+  return F64x4{F64x4::Native{x, x, x, x}};
 }
+
+inline F64x4 LoadF64(const double* p) {
+  F64x4 r;
+  std::memcpy(&r.v, p, sizeof(r.v));
+  return r;
+}
+
+inline void StoreF64(double* p, F64x4 a) { std::memcpy(p, &a.v, sizeof(a.v)); }
 
 inline F64x4 Add(F64x4 a, F64x4 b) { return F64x4{a.v + b.v}; }
 inline F64x4 Mul(F64x4 a, F64x4 b) { return F64x4{a.v * b.v}; }
@@ -136,6 +154,20 @@ inline F32x8 Mul(F32x8 a, F32x8 b) {
   return r;
 }
 
+inline F32x8 SelectNonZero(F32x8 key, F32x8 if_nonzero, F32x8 if_zero) {
+  F32x8 r;
+  for (int j = 0; j < kFloatLanes; ++j) {
+    r.v[j] = key.v[j] != 0.f ? if_nonzero.v[j] : if_zero.v[j];
+  }
+  return r;
+}
+
+inline F32x8 Relu(F32x8 x) {
+  F32x8 r;
+  for (int j = 0; j < kFloatLanes; ++j) r.v[j] = x.v[j] > 0.f ? x.v[j] : 0.f;
+  return r;
+}
+
 inline F64x4 ZeroF64() {
   F64x4 r;
   for (int j = 0; j < kDoubleLanes; ++j) r.v[j] = 0.0;
@@ -148,11 +180,13 @@ inline F64x4 SplatF64(double x) {
   return r;
 }
 
-inline F64x4 WidenLoadF64(const float* p) {
+inline F64x4 LoadF64(const double* p) {
   F64x4 r;
-  for (int j = 0; j < kDoubleLanes; ++j) r.v[j] = static_cast<double>(p[j]);
+  std::memcpy(r.v, p, sizeof(r.v));
   return r;
 }
+
+inline void StoreF64(double* p, F64x4 a) { std::memcpy(p, a.v, sizeof(a.v)); }
 
 inline F64x4 Add(F64x4 a, F64x4 b) {
   F64x4 r;
@@ -175,8 +209,8 @@ inline void NarrowStoreF32(float* p, F64x4 a) {
 /// acc + a * b as two distinct IEEE operations. NOT an FMA: the using TU
 /// compiles with -ffp-contract=off, so the product rounds before the add
 /// exactly like the scalar reference kernels.
-inline F32x8 MulAdd(F32x8 a, F32x8 b, F32x8 acc) { return Add(Mul(a, b), acc); }
-inline F64x4 MulAdd(F64x4 a, F64x4 b, F64x4 acc) { return Add(Mul(a, b), acc); }
+inline F32x8 MulAdd(F32x8 a, F32x8 b, F32x8 acc) { return Add(acc, Mul(a, b)); }
+inline F64x4 MulAdd(F64x4 a, F64x4 b, F64x4 acc) { return Add(acc, Mul(a, b)); }
 
 }  // namespace simd
 }  // namespace nmcdr

@@ -13,6 +13,7 @@
 #include "tensor/vector_kernels.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "tensor/scalar_kernels.h"
 #include "tensor/simd.h"
@@ -29,106 +30,291 @@ using simd::kFloatLanes;
 /// value; a scheduling knob only — never affects results).
 constexpr int64_t kMinTileWork = 1 << 15;
 
-/// One register tile of `acc[j] += av * b[p][j]` accumulation, NV lanes of
-/// kFloatLanes floats wide. The fixed register count lets the compiler
-/// keep every accumulator in a vector register across the whole p loop;
-/// the shared `av == 0` skip and ascending-p order are exactly the scalar
-/// reference chain (backend.cc MatMulAccumRows). `av_stride` strides the
-/// per-p A element (1 for row-major A rows, a.cols() for the TransA walk
-/// down an A column).
-template <int NV>
-inline void AccumRegTile(const float* a0, size_t av_stride, const float* b0,
-                         size_t b_stride, int64_t k, float* ctile) {
-  F32x8 acc[NV];
-  for (int u = 0; u < NV; ++u) acc[u] = simd::LoadF32(ctile + u * kFloatLanes);
+/// Fully unrolls a fixed-trip register loop before GCC decides where the
+/// tile's accumulator array lives: left rolled, a variable index pins the
+/// array to the stack and every add round-trips through memory.
+#define NMCDR_UNROLL _Pragma("GCC unroll 16")
+
+/// Output rows per accumulate pass: each B register load feeds this many
+/// rows, so the tile keeps kAccumRows * NV independent add chains in
+/// flight — enough to hide the FP add latency even at n = 16, where one
+/// row alone is only two registers wide.
+constexpr int kAccumRows = 4;
+
+/// R output rows x NV registers (kFloatLanes floats each) of `acc[j] += av
+/// * b[p][j]` accumulation over ascending p. Row r's A element at step p
+/// is a0[r * a_row_stride + p * av_stride]: an A row for the plain product
+/// (a_row_stride = a.cols(), av_stride = 1), an A column for TransA
+/// (a_row_stride = 1, av_stride = a.cols()). The fixed R and NV keep every
+/// accumulator in a register across the whole p loop.
+///
+/// kSkipZeros is the reference's per-(row, p) `av == 0` skip (backend.cc
+/// MatMulAccumRows) as a lane-wise select instead of a branch: that row's
+/// accumulators keep their old value, so rows whose zeros differ share the
+/// tile exactly. Callers drop it when the block's A elements hold no zero,
+/// where the skip never fires and the select would only add work.
+template <int R, int NV, bool kSkipZeros>
+inline void AccumTile(const float* a0, size_t a_row_stride, size_t av_stride,
+                      const float* b0, size_t b_stride, int64_t k, float* c0,
+                      size_t c_stride) {
+  F32x8 acc[R * NV];
+  NMCDR_UNROLL
+  for (int r = 0; r < R; ++r) {
+    NMCDR_UNROLL
+    for (int u = 0; u < NV; ++u) {
+      acc[r * NV + u] = simd::LoadF32(c0 + r * c_stride + u * kFloatLanes);
+    }
+  }
   for (int64_t p = 0; p < k; ++p) {
-    const float av = a0[static_cast<size_t>(p) * av_stride];
-    if (av == 0.f) continue;
-    const F32x8 avv = simd::SplatF32(av);
     const float* brow = b0 + static_cast<size_t>(p) * b_stride;
+    F32x8 bv[NV];
+    NMCDR_UNROLL
+    for (int u = 0; u < NV; ++u) bv[u] = simd::LoadF32(brow + u * kFloatLanes);
+    const float* ap = a0 + static_cast<size_t>(p) * av_stride;
+    NMCDR_UNROLL
+    for (int r = 0; r < R; ++r) {
+      const F32x8 avv = simd::SplatF32(ap[r * a_row_stride]);
+      NMCDR_UNROLL
+      for (int u = 0; u < NV; ++u) {
+        F32x8& a = acc[r * NV + u];
+        const F32x8 sum = simd::MulAdd(avv, bv[u], a);
+        a = kSkipZeros ? simd::SelectNonZero(avv, sum, a) : sum;
+      }
+    }
+  }
+  NMCDR_UNROLL
+  for (int r = 0; r < R; ++r) {
+    NMCDR_UNROLL
     for (int u = 0; u < NV; ++u) {
-      acc[u] = simd::MulAdd(avv, simd::LoadF32(brow + u * kFloatLanes), acc[u]);
+      simd::StoreF32(c0 + r * c_stride + u * kFloatLanes, acc[r * NV + u]);
     }
   }
-  for (int u = 0; u < NV; ++u) simd::StoreF32(ctile + u * kFloatLanes, acc[u]);
 }
 
-/// Accumulates one output-row span of `n` columns: widest register tiles
-/// first (4 x 8 lanes = 32 columns), then single-register tiles, then a
-/// scalar tail with the identical per-element chain.
-inline void AccumRowSpan(const float* a0, size_t av_stride, const float* b0,
-                         size_t b_stride, int64_t k, int64_t n, float* crow) {
-  int64_t j = 0;
-  for (; j + 4 * kFloatLanes <= n; j += 4 * kFloatLanes) {
-    AccumRegTile<4>(a0, av_stride, b0 + j, b_stride, k, crow + j);
-  }
-  for (; j + kFloatLanes <= n; j += kFloatLanes) {
-    AccumRegTile<1>(a0, av_stride, b0 + j, b_stride, k, crow + j);
-  }
-  for (; j < n; ++j) {
-    float acc = crow[j];
+/// R output rows of the first `n` columns, n a multiple of kFloatLanes:
+/// two-register (16-column) tiles, then a one-register tile.
+template <int R>
+inline void AccumRows(const float* a0, size_t a_row_stride, size_t av_stride,
+                      const float* b0, size_t b_stride, int64_t k, int64_t n,
+                      float* c0, size_t c_stride) {
+  bool has_zero = false;
+  for (int r = 0; r < R; ++r) {
+    const float* ar = a0 + r * a_row_stride;
     for (int64_t p = 0; p < k; ++p) {
-      const float av = a0[static_cast<size_t>(p) * av_stride];
-      if (av == 0.f) continue;
-      acc += av * b0[static_cast<size_t>(p) * b_stride + j];
+      has_zero |= ar[static_cast<size_t>(p) * av_stride] == 0.f;
     }
-    crow[j] = acc;
+  }
+  int64_t j = 0;
+  for (; j + 2 * kFloatLanes <= n; j += 2 * kFloatLanes) {
+    if (has_zero) {
+      AccumTile<R, 2, true>(a0, a_row_stride, av_stride, b0 + j, b_stride, k,
+                            c0 + j, c_stride);
+    } else {
+      AccumTile<R, 2, false>(a0, a_row_stride, av_stride, b0 + j, b_stride, k,
+                             c0 + j, c_stride);
+    }
+  }
+  if (j < n) {
+    if (has_zero) {
+      AccumTile<R, 1, true>(a0, a_row_stride, av_stride, b0 + j, b_stride, k,
+                            c0 + j, c_stride);
+    } else {
+      AccumTile<R, 1, false>(a0, a_row_stride, av_stride, b0 + j, b_stride, k,
+                             c0 + j, c_stride);
+    }
   }
 }
 
-/// One register tile of the A * B^T double-dot family: NV lanes of
-/// kDoubleLanes independent double chains, each ascending p exactly like
-/// MatMulTransBRows; the single float rounding happens at the store.
-template <int NV>
-inline void DotRegTile(const float* arow, const float* bt0, size_t bt_stride,
-                       int64_t k, float* ctile) {
-  F64x4 acc[NV];
-  for (int u = 0; u < NV; ++u) acc[u] = simd::ZeroF64();
-  for (int64_t p = 0; p < k; ++p) {
-    const F64x4 avv = simd::SplatF64(static_cast<double>(arow[p]));
-    const float* btrow = bt0 + static_cast<size_t>(p) * bt_stride;
+/// Steps of p per accumulate sweep. A deep product (TransA's k is the
+/// batch) sweeps all output rows once per depth chunk, so the chunk's A
+/// and B rows stay in L1 across the row blocks instead of streaming from
+/// L2 once per block. The accumulators are the float outputs themselves,
+/// so pausing a chain at a chunk boundary changes nothing.
+constexpr int64_t kAccumDepth = 64;
+
+/// The last `n` (< kFloatLanes) columns, too narrow for column lanes: the
+/// lanes run across kFloatLanes output rows instead, one column at a time,
+/// over the block's A elements transposed into `at` ([p][lane]). Rows past
+/// the last full lane block take the reference's scalar loop.
+inline void AccumNarrowColumns(const float* a0, size_t a_row_stride,
+                               size_t av_stride, const float* b0,
+                               size_t b_stride, int64_t k, int64_t n,
+                               int64_t rows, float* c0, size_t c_stride) {
+  float at[kAccumDepth * kFloatLanes];
+  float lanes[kFloatLanes];
+  int64_t i = 0;
+  for (; i + kFloatLanes <= rows; i += kFloatLanes) {
+    const float* ai = a0 + i * a_row_stride;
+    for (int64_t p = 0; p < k; ++p) {
+      for (int l = 0; l < kFloatLanes; ++l) {
+        at[p * kFloatLanes + l] =
+            ai[l * a_row_stride + static_cast<size_t>(p) * av_stride];
+      }
+    }
+    float* ci = c0 + i * c_stride;
+    for (int64_t j = 0; j < n; ++j) {
+      for (int l = 0; l < kFloatLanes; ++l) lanes[l] = ci[l * c_stride + j];
+      F32x8 acc = simd::LoadF32(lanes);
+      for (int64_t p = 0; p < k; ++p) {
+        const F32x8 av = simd::LoadF32(at + p * kFloatLanes);
+        const F32x8 bv =
+            simd::SplatF32(b0[static_cast<size_t>(p) * b_stride + j]);
+        acc = simd::SelectNonZero(av, simd::MulAdd(av, bv, acc), acc);
+      }
+      simd::StoreF32(lanes, acc);
+      for (int l = 0; l < kFloatLanes; ++l) ci[l * c_stride + j] = lanes[l];
+    }
+  }
+  for (; i < rows; ++i) {
+    const float* ar = a0 + i * a_row_stride;
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = c0[i * c_stride + j];
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = ar[static_cast<size_t>(p) * av_stride];
+        if (av == 0.f) continue;
+        acc += av * b0[static_cast<size_t>(p) * b_stride + j];
+      }
+      c0[i * c_stride + j] = acc;
+    }
+  }
+}
+
+/// Output rows [0, rows) x columns [0, n), one depth chunk at a time: the
+/// lane-wide columns in row blocks of kAccumRows (the last block as narrow
+/// as the remainder), then any narrow column tail.
+inline void AccumRowRange(const float* a0, size_t a_row_stride,
+                          size_t av_stride, const float* b0, size_t b_stride,
+                          int64_t k, int64_t n, int64_t rows, float* c0,
+                          size_t c_stride) {
+  const int64_t nv = n - n % kFloatLanes;
+  for (int64_t p0 = 0; p0 < k; p0 += kAccumDepth) {
+    const int64_t kc = std::min(kAccumDepth, k - p0);
+    const float* ap = a0 + static_cast<size_t>(p0) * av_stride;
+    const float* bp = b0 + static_cast<size_t>(p0) * b_stride;
+    int64_t i = 0;
+    if (nv > 0) {
+      for (; i + kAccumRows <= rows; i += kAccumRows) {
+        AccumRows<kAccumRows>(ap + i * a_row_stride, a_row_stride, av_stride,
+                              bp, b_stride, kc, nv, c0 + i * c_stride,
+                              c_stride);
+      }
+      const float* ar = ap + i * a_row_stride;
+      float* cr = c0 + i * c_stride;
+      switch (rows - i) {
+        case 3:
+          AccumRows<3>(ar, a_row_stride, av_stride, bp, b_stride, kc, nv, cr,
+                       c_stride);
+          break;
+        case 2:
+          AccumRows<2>(ar, a_row_stride, av_stride, bp, b_stride, kc, nv, cr,
+                       c_stride);
+          break;
+        case 1:
+          AccumRows<1>(ar, a_row_stride, av_stride, bp, b_stride, kc, nv, cr,
+                       c_stride);
+          break;
+        default:
+          break;
+      }
+    }
+    if (n > nv) {
+      AccumNarrowColumns(ap, a_row_stride, av_stride, bp + nv, b_stride, kc,
+                         n - nv, rows, c0 + nv, c_stride);
+    }
+  }
+}
+
+// The A * B^T double-dot family reads B^T from a panel of doubles: B^T
+// widened once per call (float -> double is exact), kDotPanelWidth output
+// columns wide and at most kDotPanelDepth steps of p deep, in stack
+// buffers so no call allocates. Products deeper than the panel carry
+// their double partial sums across depth chunks in a stack tile of
+// kDotRowBlock rows; the one rounding to float still happens at the
+// final store.
+constexpr int kDotPanelWidth = 4 * kDoubleLanes;  // four double registers
+constexpr int64_t kDotPanelDepth = 128;
+constexpr int64_t kDotRowBlock = 64;
+
+/// panel[p][jj] = double(b(j0 + jj, p0 + p)) for the `w` live columns,
+/// 0 in the padding lanes (computed, never stored).
+inline void BuildDotPanel(const Matrix& b, int64_t j0, int64_t w, int64_t p0,
+                          int64_t kc, double* panel) {
+  for (int64_t jj = 0; jj < kDotPanelWidth; ++jj) {
+    const float* brow =
+        jj < w ? b.row(static_cast<int>(j0 + jj)) + p0 : nullptr;
+    for (int64_t p = 0; p < kc; ++p) {
+      panel[p * kDotPanelWidth + jj] =
+          brow != nullptr ? static_cast<double>(brow[p]) : 0.0;
+    }
+  }
+}
+
+/// Rows per dot pass: two rows of four double registers keep eight
+/// independent add chains in flight behind each panel load.
+constexpr int kDotRows = 2;
+
+/// R output rows x kDotPanelWidth columns of the double dot over panel
+/// steps [0, kc), each chain ascending p exactly like MatMulTransBRows.
+/// Row r's A row is a0 + r * a_stride. The chains start at +0 on the
+/// first depth chunk, else from the carried partial sums `part`; they end
+/// in `part` when more chunks follow, else rounded once into the `w` live
+/// columns of c0.
+template <int R>
+inline void DotPanelRows(const float* a0, size_t a_stride,
+                         const double* panel, int64_t kc, bool first,
+                         bool last, double* part, float* c0, size_t c_stride,
+                         int64_t w) {
+  constexpr int NV = kDotPanelWidth / kDoubleLanes;
+  F64x4 acc[R * NV];
+  NMCDR_UNROLL
+  for (int r = 0; r < R; ++r) {
+    NMCDR_UNROLL
     for (int u = 0; u < NV; ++u) {
-      acc[u] = simd::MulAdd(avv, simd::WidenLoadF64(btrow + u * kDoubleLanes),
-                            acc[u]);
+      acc[r * NV + u] =
+          first ? simd::ZeroF64()
+                : simd::LoadF64(part + r * kDotPanelWidth + u * kDoubleLanes);
     }
   }
-  for (int u = 0; u < NV; ++u) {
-    simd::NarrowStoreF32(ctile + u * kDoubleLanes, acc[u]);
-  }
-}
-
-inline void DotRowSpan(const float* arow, const float* bt0, size_t bt_stride,
-                       int64_t k, int64_t n, float* crow) {
-  int64_t j = 0;
-  for (; j + 2 * kDoubleLanes <= n; j += 2 * kDoubleLanes) {
-    DotRegTile<2>(arow, bt0 + j, bt_stride, k, crow + j);
-  }
-  for (; j + kDoubleLanes <= n; j += kDoubleLanes) {
-    DotRegTile<1>(arow, bt0 + j, bt_stride, k, crow + j);
-  }
-  for (; j < n; ++j) {
-    double acc = 0.0;
-    const float* btcol = bt0 + j;
-    for (int64_t p = 0; p < k; ++p) {
-      acc += static_cast<double>(arow[p]) *
-             static_cast<double>(btcol[static_cast<size_t>(p) * bt_stride]);
+  for (int64_t p = 0; p < kc; ++p) {
+    const double* prow = panel + p * kDotPanelWidth;
+    F64x4 bv[NV];
+    NMCDR_UNROLL
+    for (int u = 0; u < NV; ++u) bv[u] = simd::LoadF64(prow + u * kDoubleLanes);
+    NMCDR_UNROLL
+    for (int r = 0; r < R; ++r) {
+      const F64x4 avv =
+          simd::SplatF64(static_cast<double>(a0[r * a_stride + p]));
+      NMCDR_UNROLL
+      for (int u = 0; u < NV; ++u) {
+        acc[r * NV + u] = simd::MulAdd(avv, bv[u], acc[r * NV + u]);
+      }
     }
-    crow[j] = static_cast<float>(acc);
   }
-}
-
-inline float FusedActApply(float x, FusedAct act) {
-  switch (act) {
-    case FusedAct::kNone:
-      return x;
-    case FusedAct::kRelu:
-      return ReluScalar(x);
-    case FusedAct::kSigmoid:
-      return SigmoidScalar(x);
-    case FusedAct::kTanh:
-      return TanhScalar(x);
+  NMCDR_UNROLL
+  for (int r = 0; r < R; ++r) {
+    if (!last) {
+      NMCDR_UNROLL
+      for (int u = 0; u < NV; ++u) {
+        simd::StoreF64(part + r * kDotPanelWidth + u * kDoubleLanes,
+                       acc[r * NV + u]);
+      }
+      continue;
+    }
+    float* crow = c0 + r * c_stride;
+    if (w == kDotPanelWidth) {
+      NMCDR_UNROLL
+      for (int u = 0; u < NV; ++u) {
+        simd::NarrowStoreF32(crow + u * kDoubleLanes, acc[r * NV + u]);
+      }
+      continue;
+    }
+    float rounded[kDotPanelWidth];
+    NMCDR_UNROLL
+    for (int u = 0; u < NV; ++u) {
+      simd::NarrowStoreF32(rounded + u * kDoubleLanes, acc[r * NV + u]);
+    }
+    std::memcpy(crow, rounded, sizeof(float) * static_cast<size_t>(w));
   }
-  return x;
 }
 
 inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
@@ -137,33 +323,55 @@ inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 void VectorMatMulAccumTile(const Matrix& a, const Matrix& b, Matrix* out,
                            int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-  const int64_t k = a.cols(), n = c1 - c0;
-  const float* bbase = b.data() + c0;
-  for (int64_t i = r0; i < r1; ++i) {
-    AccumRowSpan(a.row(static_cast<int>(i)), 1, bbase, b.cols(), k, n,
-                 out->row(static_cast<int>(i)) + c0);
-  }
+  AccumRowRange(a.data() + r0 * a.cols(), static_cast<size_t>(a.cols()), 1,
+                b.data() + c0, static_cast<size_t>(b.cols()), a.cols(),
+                c1 - c0, r1 - r0, out->data() + r0 * out->cols() + c0,
+                static_cast<size_t>(out->cols()));
 }
 
 void VectorMatMulTransATile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-  // Output row i is column i of A: the per-p A element strides by
-  // a.cols(), everything else matches the plain accumulate tile.
-  const int64_t k = a.rows(), n = c1 - c0;
-  const float* bbase = b.data() + c0;
-  for (int64_t i = r0; i < r1; ++i) {
-    AccumRowSpan(a.data() + i, static_cast<size_t>(a.cols()), bbase, b.cols(),
-                 k, n, out->row(static_cast<int>(i)) + c0);
-  }
+  // Output row i is column i of A: consecutive output rows are adjacent A
+  // elements and the per-p A element strides by a.cols().
+  AccumRowRange(a.data() + r0, 1, static_cast<size_t>(a.cols()),
+                b.data() + c0, static_cast<size_t>(b.cols()), a.rows(),
+                c1 - c0, r1 - r0, out->data() + r0 * out->cols() + c0,
+                static_cast<size_t>(out->cols()));
 }
 
-void VectorMatMulTransBTile(const Matrix& a, const Matrix& bt, Matrix* out,
+void VectorMatMulTransBTile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-  const int64_t k = a.cols(), n = c1 - c0;
-  const float* btbase = bt.data() + c0;
-  for (int64_t i = r0; i < r1; ++i) {
-    DotRowSpan(a.row(static_cast<int>(i)), btbase, bt.cols(), k, n,
-               out->row(static_cast<int>(i)) + c0);
+  const int64_t k = a.cols();
+  const size_t a_stride = static_cast<size_t>(a.cols());
+  const size_t c_stride = static_cast<size_t>(out->cols());
+  double panel[kDotPanelDepth * kDotPanelWidth];
+  double partial[kDotRowBlock * kDotPanelWidth];
+  for (int64_t j0 = c0; j0 < c1; j0 += kDotPanelWidth) {
+    const int64_t w = std::min<int64_t>(kDotPanelWidth, c1 - j0);
+    for (int64_t i0 = r0; i0 < r1; i0 += kDotRowBlock) {
+      const int64_t i1 = std::min(i0 + kDotRowBlock, r1);
+      // One pass even at k == 0, which stores the empty sums (+0).
+      int64_t p0 = 0;
+      do {
+        const int64_t kc = std::min(kDotPanelDepth, k - p0);
+        const bool first = p0 == 0, last = p0 + kc >= k;
+        BuildDotPanel(b, j0, w, p0, kc, panel);
+        int64_t i = i0;
+        for (; i + kDotRows <= i1; i += kDotRows) {
+          DotPanelRows<kDotRows>(a.row(static_cast<int>(i)) + p0, a_stride,
+                                 panel, kc, first, last,
+                                 partial + (i - i0) * kDotPanelWidth,
+                                 out->row(static_cast<int>(i)) + j0, c_stride,
+                                 w);
+        }
+        for (; i < i1; ++i) {
+          DotPanelRows<1>(a.row(static_cast<int>(i)) + p0, a_stride, panel,
+                          kc, first, last, partial + (i - i0) * kDotPanelWidth,
+                          out->row(static_cast<int>(i)) + j0, c_stride, w);
+        }
+        p0 += kc;
+      } while (p0 < k);
+    }
   }
 }
 
@@ -173,15 +381,41 @@ void VectorFusedMatMulTile(const Matrix& a, const Matrix& b,
   VectorMatMulAccumTile(a, b, out, r0, r1, c0, c1);
   const int64_t n = c1 - c0;
   const float* brow = bias != nullptr ? bias->row(0) + c0 : nullptr;
+  const bool relu = act == FusedAct::kRelu;
   for (int64_t r = r0; r < r1; ++r) {
     float* crow = out->row(static_cast<int>(r)) + c0;
-    if (brow != nullptr) {
-      for (int64_t j = 0; j < n; ++j) crow[j] = crow[j] + brow[j];
+    // Bias and ReLU run in lanes (a data-dependent branch per element
+    // costs more than the GEMM at n = 16); sigmoid and tanh call libm.
+    int64_t j = 0;
+    for (; j + kFloatLanes <= n; j += kFloatLanes) {
+      F32x8 v = simd::LoadF32(crow + j);
+      if (brow != nullptr) v = simd::Add(v, simd::LoadF32(brow + j));
+      if (relu) v = simd::Relu(v);
+      simd::StoreF32(crow + j, v);
     }
-    if (act != FusedAct::kNone) {
-      for (int64_t j = 0; j < n; ++j) crow[j] = FusedActApply(crow[j], act);
+    for (; j < n; ++j) {
+      if (brow != nullptr) crow[j] = crow[j] + brow[j];
+      if (relu) crow[j] = ReluScalar(crow[j]);
+    }
+    if (act == FusedAct::kSigmoid) {
+      for (j = 0; j < n; ++j) crow[j] = SigmoidScalar(crow[j]);
+    } else if (act == FusedAct::kTanh) {
+      for (j = 0; j < n; ++j) crow[j] = TanhScalar(crow[j]);
     }
   }
+}
+
+void VectorAxpyInto(const Matrix& a, float alpha, Matrix* out) {
+  const int64_t n = a.size();
+  const float* in = a.data();
+  float* o = out->data();
+  const F32x8 alpha_v = simd::SplatF32(alpha);
+  int64_t i = 0;
+  for (; i + kFloatLanes <= n; i += kFloatLanes) {
+    simd::StoreF32(o + i, simd::MulAdd(alpha_v, simd::LoadF32(in + i),
+                                       simd::LoadF32(o + i)));
+  }
+  for (; i < n; ++i) o[i] += alpha * in[i];
 }
 
 GemmTileGrid MakeGemmTileGrid(int64_t rows, int64_t cols, int64_t k,

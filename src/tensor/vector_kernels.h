@@ -7,7 +7,7 @@
 #include "tensor/matrix.h"
 
 // Register-blocked, cache-tiled, explicitly vectorized GEMM cores (the
-// NMCDR_BACKEND=vector path and the tile-sharded ParallelBackend GEMMs).
+// default vector backend and the tile-sharded ParallelBackend GEMMs).
 // Built on the lane abstraction in tensor/simd.h and defined in
 // vector_kernels.cc, a translation unit compiled at -O3 with
 // -ffp-contract=off — see src/tensor/CMakeLists.txt for why that is
@@ -34,10 +34,10 @@ void VectorMatMulAccumTile(const Matrix& a, const Matrix& b, Matrix* out,
 void VectorMatMulTransATile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
-/// Tile of A * B^T where `bt` is B already transposed (bt(p, j) =
-/// b(j, p)); per element the same double dot in ascending p as
-/// MatMulTransBRows.
-void VectorMatMulTransBTile(const Matrix& a, const Matrix& bt, Matrix* out,
+/// Tile of A * B^T; per element the same double dot in ascending p as
+/// MatMulTransBRows. B^T is widened into a stack panel of doubles inside
+/// the call, so the tile reads B as given and allocates nothing.
+void VectorMatMulTransBTile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
 /// Tile of the fused epilogue family: accumulate a*b into the (pre-zeroed)
@@ -49,6 +49,10 @@ void VectorMatMulTransBTile(const Matrix& a, const Matrix& bt, Matrix* out,
 void VectorFusedMatMulTile(const Matrix& a, const Matrix& b,
                            const Matrix* bias, FusedAct act, Matrix* out,
                            int64_t r0, int64_t r1, int64_t c0, int64_t c1);
+
+/// out += alpha * a elementwise, eight lanes at a time; per element the
+/// reference's `o + alpha * in` (AxpyRange).
+void VectorAxpyInto(const Matrix& a, float alpha, Matrix* out);
 
 /// 2-D output decomposition for the tile-sharded parallel GEMMs: a grid of
 /// row_block x col_block tiles, flattened row-major into [0, num_tiles())

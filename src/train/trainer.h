@@ -26,10 +26,12 @@ struct TrainConfig {
   /// With eval_every active, stop after this many non-improving
   /// evaluations (0 = never stop early).
   int early_stop_patience = 0;
-  /// Kernel threads for this run: 0 = inherit the process-wide backend,
-  /// 1 = force the serial backend, >1 = the parallel backend over the
-  /// shared pool. Results are bit-identical at any setting — backends are
-  /// bit-exact by contract (tensor/backend.h).
+  /// Kernel threads for this run: 0 = inherit the process-wide backend
+  /// (by default one thread of vector tile cores, the fastest setting at
+  /// D = 16), 1 = force the serial reference backend (slower than the
+  /// default), >1 = the parallel backend over the shared pool. Results
+  /// are bit-identical at any setting — backends are bit-exact by contract
+  /// (tensor/backend.h).
   int threads = 0;
   /// Compile the first training step into a graph program (src/program)
   /// and replay it — fused kernels + arena-planned buffers — for the rest

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,36 @@ Matrix RandomMatrix(int rows, int cols, Rng* rng) {
   Matrix m(rows, cols);
   for (int i = 0; i < m.size(); ++i) {
     m.data()[i] = rng->Bernoulli(0.125) ? 0.f : rng->Uniform(-2.f, 2.f);
+  }
+  return m;
+}
+
+/// The NaN this machine's FPU produces for an invalid operation (0/0).
+/// When two NaNs meet in an add, IEEE 754 leaves open which one comes out,
+/// and the compiler orders commutative operands as it likes — the serial
+/// reference and a tile core may legitimately disagree on which of two
+/// different NaNs survives. Feeding in the FPU's own NaN keeps one NaN bit
+/// pattern in flight, so the bitwise checks stay exact everywhere.
+float DefaultNaN() {
+  volatile float zero = 0.f;
+  return zero / zero;
+}
+
+/// Entries for the GEMM tile sweep: uniform values with ~1/4 zeros, half
+/// of them −0.0 (so rows of one 4-row tile skip different steps), plus ±Inf
+/// and NaN at `special_rate` each. A zero that meets an Inf in B is exactly
+/// the case the reference's skip decides (0 * Inf would be NaN).
+Matrix SpecialMatrix(int rows, int cols, double special_rate, Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {inf, -inf, DefaultNaN()};
+  Matrix m(rows, cols);
+  for (int i = 0; i < m.size(); ++i) {
+    float x = rng->Uniform(-2.f, 2.f);
+    if (rng->Bernoulli(0.25)) x = rng->Bernoulli(0.5) ? 0.f : -0.f;
+    for (const float special : specials) {
+      if (rng->Bernoulli(special_rate)) x = special;
+    }
+    m.data()[i] = x;
   }
   return m;
 }
@@ -272,6 +303,72 @@ TEST(BackendEquivalenceTest, FusedEpilogues) {
   });
 }
 
+/// The GEMM tile paths on the model's real shapes and their edges: row
+/// counts around the 4-row accumulate block and the 2-row dot block,
+/// column counts around the 8- and 16-lane tiles and the narrow row-lane
+/// tail, and depths from 1 past the 64-step accumulate chunk and the
+/// 128-step TransB panel (880 is the Music-Movie item count TransA runs
+/// at). Every GEMM entry point must match serial bit for bit under the
+/// vector backend and the tile-sharded parallel backend, with IEEE
+/// special values in every operand and in the accumulate target.
+TEST(BackendEquivalenceTest, GemmTileSweepWithSpecialValues) {
+  Rng rng(18);
+  const SerialBackend& serial = SerialKernelBackend();
+  ThreadPool pool(3);
+  const ParallelBackend parallel(&pool);
+  const KernelBackend* const others[] = {&VectorKernelBackend(), &parallel};
+  const FusedAct kActs[] = {FusedAct::kNone, FusedAct::kRelu,
+                            FusedAct::kSigmoid, FusedAct::kTanh};
+  for (const int m : {1, 3, 4, 5, 390, 880}) {
+    for (const int n : {1, 8, 15, 16, 17, 24, 32, 33}) {
+      for (const int k : {1, 16, 32, 880}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        // Rarer specials in deep products, so most sums stay finite.
+        const double rate = 0.02 / k + 0.0005;
+        const Matrix a = SpecialMatrix(m, k, rate, &rng);
+        const Matrix b = SpecialMatrix(k, n, rate, &rng);
+        const Matrix noise = SpecialMatrix(m, n, rate, &rng);
+        const Matrix ta = SpecialMatrix(k, m, rate, &rng);
+        const Matrix tb = SpecialMatrix(k, n, rate, &rng);
+        const Matrix bt = SpecialMatrix(n, k, rate, &rng);
+        const Matrix bias = SpecialMatrix(1, n, rate, &rng);
+
+        Matrix accum_s = noise;
+        serial.MatMulAccumInto(a, b, &accum_s);
+        const Matrix trans_a_s = serial.MatMulTransA(ta, tb);
+        const Matrix trans_b_s = serial.MatMulTransB(a, bt);
+        const Matrix planned_a_s = serial.PlannedMatMulTransA(ta, tb);
+        const Matrix planned_b_s = serial.PlannedMatMulTransB(a, bt);
+        Matrix fused_s[4];
+        for (int f = 0; f < 4; ++f) {
+          fused_s[f] = Matrix(m, n);
+          serial.FusedMatMulBiasActInto(a, b, &bias, kActs[f], &fused_s[f]);
+        }
+
+        for (const KernelBackend* other : others) {
+          SCOPED_TRACE(other->name());
+          Matrix accum = noise;
+          other->MatMulAccumInto(a, b, &accum);
+          EXPECT_TRUE(BitEqual(accum_s, accum));
+          EXPECT_TRUE(BitEqual(trans_a_s, other->MatMulTransA(ta, tb)));
+          EXPECT_TRUE(BitEqual(trans_b_s, other->MatMulTransB(a, bt)));
+          EXPECT_TRUE(
+              BitEqual(planned_a_s, other->PlannedMatMulTransA(ta, tb)));
+          EXPECT_TRUE(
+              BitEqual(planned_b_s, other->PlannedMatMulTransB(a, bt)));
+          for (int f = 0; f < 4; ++f) {
+            SCOPED_TRACE("act " + std::to_string(f));
+            Matrix fused(m, n);
+            other->FusedMatMulBiasActInto(a, b, &bias, kActs[f], &fused);
+            EXPECT_TRUE(BitEqual(fused_s[f], fused));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BackendEquivalenceTest, BackendGuardSelectsPerThread) {
   Rng rng(16);
   const Matrix a = RandomMatrix(4, 4, &rng);
@@ -353,6 +450,33 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalVectorAcrossModels) {
     const float vector_loss = run(&VectorKernelBackend());
     EXPECT_EQ(serial_loss, vector_loss);  // bitwise, not approximately
   }
+}
+
+/// The production NMCDR shape (hidden_dim 16, mlp_hidden {32}, the
+/// NmcdrConfig defaults): the tests above train at half that width, while
+/// every production step runs D = 16 GEMMs through the 16-column tiles and
+/// TransB panel and the n = 1 head through the row-lane tail. Serial,
+/// vector and parallel training must end at the bit-identical loss.
+TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalAtProductionShape) {
+  const NmcdrConfig model_config;
+  ASSERT_EQ(model_config.hidden_dim, 16);
+  ASSERT_EQ(model_config.mlp_hidden, std::vector<int>{32});
+
+  auto run = [&](const KernelBackend* backend) {
+    BackendGuard guard(backend);
+    auto data = testing_util::TinyData();
+    NmcdrModel model(data->View(), model_config, /*seed=*/3, 1e-3f);
+    TrainConfig config;
+    config.epochs = 2;
+    config.batch_size = 64;
+    config.threads = 0;  // inherit the guard's backend
+    Trainer trainer(data->View(), config);
+    return trainer.Train(&model).final_loss;
+  };
+
+  const float serial_loss = run(&SerialKernelBackend());
+  EXPECT_EQ(serial_loss, run(&VectorKernelBackend()));  // bitwise
+  EXPECT_EQ(serial_loss, run(&ParallelKernelBackend()));
 }
 
 /// Graph-program fusion is numerics-neutral: every registered model

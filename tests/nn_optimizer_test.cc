@@ -1,4 +1,6 @@
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -159,9 +161,11 @@ TEST(OptimizerTest, LearningRateAdjustable) {
 }
 
 /// Parameterized: training a Linear on a least-squares problem converges
-/// for several optimizers and learning rates.
+/// for several optimizers and learning rates. The name is a std::string,
+/// not a const char*, so the printed parameter (and with it the CTest
+/// name) is the optimizer name rather than a run-dependent address.
 class LinearRegressionSweep
-    : public ::testing::TestWithParam<std::pair<const char*, float>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, float>> {};
 
 TEST_P(LinearRegressionSweep, FitsLeastSquares) {
   const auto [opt_name, lr] = GetParam();
@@ -188,9 +192,9 @@ TEST_P(LinearRegressionSweep, FitsLeastSquares) {
 
 INSTANTIATE_TEST_SUITE_P(
     Optimizers, LinearRegressionSweep,
-    ::testing::Values(std::make_pair("sgd", 0.1f),
-                      std::make_pair("adam", 0.05f),
-                      std::make_pair("adam", 0.01f)));
+    ::testing::Values(std::make_pair(std::string("sgd"), 0.1f),
+                      std::make_pair(std::string("adam"), 0.05f),
+                      std::make_pair(std::string("adam"), 0.01f)));
 
 }  // namespace
 }  // namespace ag

@@ -4,12 +4,14 @@
 // never a crash, never NaN scores, never partial state.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/nmcdr_model.h"
 #include "serving/model_snapshot.h"
@@ -42,11 +44,16 @@ SnapshotFixture& Fixture() {
     testing_util::TrainLossTrend(&model, *f->data, 5);
     EXPECT_TRUE(
         ModelSnapshot::FreezePair(&model, f->data->scenario(), &f->snapshot));
-    const std::string path = TempPath("snapshot_fixture.nmcdr");
+    // One file per process: ctest runs each test of this binary as its own
+    // process, in parallel, and a shared name lets one process truncate
+    // the file while another reads it back.
+    const std::string path = TempPath("snapshot_fixture_" +
+                                      std::to_string(::getpid()) + ".nmcdr");
     EXPECT_TRUE(f->snapshot.Save(path));
     std::ifstream in(path, std::ios::binary);
     f->bytes.assign(std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
     EXPECT_GT(f->bytes.size(), 24u);
     return f;
   }();

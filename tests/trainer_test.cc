@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/nmcdr_model.h"
+#include "tensor/backend.h"
 #include "tests/test_util.h"
+#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
@@ -129,6 +133,29 @@ TEST(TrainerTest, BestCheckpointRestoredAfterDegradation) {
   // After 12 degradation steps quality would be -2; the restored best
   // checkpoint is from epoch 1 (quality 9).
   EXPECT_NEAR(model.quality(), 9.f, 1e-5f);
+}
+
+/// Training runs on one thread by default: with no NMCDR_BACKEND override
+/// the process default is the vector backend, and a threads = 0 run of the
+/// production NMCDR shape dispatches nothing onto the shared pool — no
+/// per-kernel fork/join on any step.
+TEST(TrainerTest, DefaultTrainingForksNothing) {
+  if (std::getenv("NMCDR_BACKEND") != nullptr) {
+    GTEST_SKIP() << "NMCDR_BACKEND pins the process-default backend";
+  }
+  EXPECT_STREQ(CurrentBackend().name(), "vector");
+
+  auto data = TinyData();
+  NmcdrModel model(data->View(), NmcdrConfig(), /*seed=*/1, 1e-3f);
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 256;
+  config.threads = 0;
+  Trainer trainer(data->View(), config);
+  ThreadPool* pool = ThreadPool::Shared();
+  const int64_t before = pool->tasks_executed();
+  trainer.Train(&model);
+  EXPECT_EQ(pool->tasks_executed(), before);
 }
 
 TEST(TrainerTest, BatchesHaveConfiguredNegativeRatio) {

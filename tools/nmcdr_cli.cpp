@@ -15,12 +15,13 @@
 //       [--save-checkpoint ckpt.bin] [--load-checkpoint ckpt.bin]
 //       [--metrics-out metrics.json] [--profile]
 //       Train and evaluate one model on one configuration; prints
-//       HR@10 / NDCG@10 / MRR per domain. --threads N sizes the shared
-//       kernel pool (N=1 forces the serial backend; results are
-//       bit-identical at any setting; default NMCDR_THREADS or all
-//       cores). --backend pins the process-default kernel backend
-//       (overrides NMCDR_BACKEND): serial reference, register-blocked
-//       vector SIMD, or pool-sharded parallel — bit-identical results
+//       HR@10 / NDCG@10 / MRR per domain. Training runs on one thread
+//       of vector tile cores by default; --threads N > 1 trains on the
+//       parallel backend over an N-thread shared pool, N = 1 on the
+//       serial reference (results are bit-identical at any setting).
+//       --backend pins the process-default kernel backend (overrides
+//       NMCDR_BACKEND): serial reference, register-blocked vector SIMD
+//       (the default), or pool-sharded parallel — bit-identical results
 //       by the backend contract, so this is a perf/debug switch.
 //       --no-fusion trains fully eager instead of compiling the
 //       step into a graph program (src/program); fused and eager runs

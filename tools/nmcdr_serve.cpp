@@ -20,9 +20,10 @@
 //
 // --backend pins the process-default kernel backend (same knob as
 // NMCDR_BACKEND, which it overrides): `serial` is the bit-exact
-// reference, `vector` the register-blocked SIMD kernels, `parallel`
-// (default) the pool-sharded tiles over the vector cores. Results are
-// bit-identical across all three by the backend contract.
+// reference, `vector` (default) the register-blocked SIMD kernels on the
+// calling thread, `parallel` the pool-sharded tiles over the vector
+// cores. Results are bit-identical across all three by the backend
+// contract.
 //
 // --mode quantized serves the per-row int8 item tables
 // (serving/quantized_snapshot.h): the tool quantizes at freeze, saves the
