@@ -6,6 +6,7 @@
 #include "autograd/meta.h"
 #include "autograd/op_stream.h"
 #include "obs/trace.h"
+#include "tensor/vector_kernels.h"
 #include "util/check.h"
 
 namespace nmcdr {
@@ -159,7 +160,7 @@ Tensor OneMinus(const Tensor& a) {
   if (MetaEnabled()) return MetaOp("OneMinus", {a});
   NMCDR_OBS_OP_SCOPE("OneMinus");
   NMCDR_OP_STREAM_ENTRY(OpKind::kOneMinus, &a);
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   for (int i = 0; i < out.size(); ++i) out.data()[i] = 1.f - a.value().data()[i];
   return MakeOpNode("OneMinus", std::move(out), {a}, [a](Node* self) {
     a.raw()->AccumulateGrad(k::Scale(self->grad, -1.f));
@@ -180,11 +181,11 @@ Tensor Relu(const Tensor& a) {
   NMCDR_OBS_OP_SCOPE("Relu");
   NMCDR_OP_STREAM_ENTRY(OpKind::kRelu, &a);
   return MakeOpNode("Relu", k::Relu(a.value()), {a}, [a](Node* self) {
-    Matrix da(self->grad.rows(), self->grad.cols());
+    Matrix da = Matrix::ForOverwrite(self->grad.rows(), self->grad.cols());
     for (int i = 0; i < da.size(); ++i) {
       da.data()[i] = self->value.data()[i] > 0.f ? self->grad.data()[i] : 0.f;
     }
-    a.raw()->AccumulateGrad(da);
+    a.raw()->AccumulateGrad(std::move(da));
   });
 }
 
@@ -193,12 +194,12 @@ Tensor Sigmoid(const Tensor& a) {
   NMCDR_OBS_OP_SCOPE("Sigmoid");
   NMCDR_OP_STREAM_ENTRY(OpKind::kSigmoid, &a);
   return MakeOpNode("Sigmoid", k::Sigmoid(a.value()), {a}, [a](Node* self) {
-    Matrix da(self->grad.rows(), self->grad.cols());
+    Matrix da = Matrix::ForOverwrite(self->grad.rows(), self->grad.cols());
     for (int i = 0; i < da.size(); ++i) {
       const float y = self->value.data()[i];
       da.data()[i] = self->grad.data()[i] * y * (1.f - y);
     }
-    a.raw()->AccumulateGrad(da);
+    a.raw()->AccumulateGrad(std::move(da));
   });
 }
 
@@ -207,12 +208,12 @@ Tensor Tanh(const Tensor& a) {
   NMCDR_OBS_OP_SCOPE("Tanh");
   NMCDR_OP_STREAM_ENTRY(OpKind::kTanh, &a);
   return MakeOpNode("Tanh", k::Tanh(a.value()), {a}, [a](Node* self) {
-    Matrix da(self->grad.rows(), self->grad.cols());
+    Matrix da = Matrix::ForOverwrite(self->grad.rows(), self->grad.cols());
     for (int i = 0; i < da.size(); ++i) {
       const float y = self->value.data()[i];
       da.data()[i] = self->grad.data()[i] * (1.f - y * y);
     }
-    a.raw()->AccumulateGrad(da);
+    a.raw()->AccumulateGrad(std::move(da));
   });
 }
 
@@ -234,7 +235,7 @@ Tensor SoftmaxRows(const Tensor& a) {
   return MakeOpNode("SoftmaxRows", k::SoftmaxRows(a.value()), {a}, [a](Node* self) {
     const Matrix& y = self->value;
     const Matrix& g = self->grad;
-    Matrix da(y.rows(), y.cols());
+    Matrix da = Matrix::ForOverwrite(y.rows(), y.cols());
     for (int r = 0; r < y.rows(); ++r) {
       const float* yr = y.row(r);
       const float* gr = g.row(r);
@@ -245,7 +246,7 @@ Tensor SoftmaxRows(const Tensor& a) {
         dr[c] = yr[c] * (gr[c] - static_cast<float>(dot));
       }
     }
-    a.raw()->AccumulateGrad(da);
+    a.raw()->AccumulateGrad(std::move(da));
   });
 }
 
@@ -256,7 +257,8 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   return MakeOpNode("ConcatCols",
       k::ConcatCols(a.value(), b.value()), {a, b}, [a, b](Node* self) {
         const int ca = a.cols(), cb = b.cols();
-        Matrix da(a.rows(), ca), db(b.rows(), cb);
+        Matrix da = Matrix::ForOverwrite(a.rows(), ca);
+        Matrix db = Matrix::ForOverwrite(b.rows(), cb);
         for (int r = 0; r < self->grad.rows(); ++r) {
           const float* g = self->grad.row(r);
           float* dar = da.row(r);
@@ -264,8 +266,8 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
           for (int c = 0; c < ca; ++c) dar[c] = g[c];
           for (int c = 0; c < cb; ++c) dbr[c] = g[ca + c];
         }
-        a.raw()->AccumulateGrad(da);
-        b.raw()->AccumulateGrad(db);
+        a.raw()->AccumulateGrad(std::move(da));
+        b.raw()->AccumulateGrad(std::move(db));
       });
 }
 
@@ -276,7 +278,7 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
   NMCDR_CHECK_GE(start, 0);
   NMCDR_CHECK_GT(len, 0);
   NMCDR_CHECK_LE(start + len, a.cols());
-  Matrix out(a.rows(), len);
+  Matrix out = Matrix::ForOverwrite(a.rows(), len);
   for (int r = 0; r < a.rows(); ++r) {
     const float* src = a.value().row(r);
     float* dst = out.row(r);
@@ -289,7 +291,7 @@ Tensor SliceCols(const Tensor& a, int start, int len) {
       float* dr = da.row(r);
       for (int c = 0; c < len; ++c) dr[start + c] = g[c];
     }
-    a.raw()->AccumulateGrad(da);
+    a.raw()->AccumulateGrad(std::move(da));
   });
 }
 
@@ -301,7 +303,7 @@ Tensor Embedding(const Tensor& table, const std::vector<int>& ids) {
                     [table, ids](Node* self) {
                       Matrix dt(table.rows(), table.cols());
                       k::ScatterAddRows(self->grad, ids, &dt);
-                      table.raw()->AccumulateGrad(dt);
+                      table.raw()->AccumulateGrad(std::move(dt));
                     });
 }
 
@@ -351,7 +353,7 @@ Tensor SegmentMeanRows(
         for (int c = 0; c < d; ++c) dr[c] += g[c] * inv;
       }
     }
-    table.raw()->AccumulateGrad(dt);
+    table.raw()->AccumulateGrad(std::move(dt));
   });
 }
 
@@ -416,13 +418,13 @@ Tensor ColMean(const Tensor& a) {
   NMCDR_CHECK_GT(a.rows(), 0);
   const float inv = 1.f / static_cast<float>(a.rows());
   return MakeOpNode("ColMean", k::ColMean(a.value()), {a}, [a, inv](Node* self) {
-    Matrix da(a.rows(), a.cols());
+    Matrix da = Matrix::ForOverwrite(a.rows(), a.cols());
     const float* g = self->grad.row(0);
     for (int r = 0; r < a.rows(); ++r) {
       float* dr = da.row(r);
       for (int c = 0; c < a.cols(); ++c) dr[c] = g[c] * inv;
     }
-    a.raw()->AccumulateGrad(da);
+    a.raw()->AccumulateGrad(std::move(da));
   });
 }
 
@@ -432,7 +434,7 @@ Tensor TileRows(const Tensor& a, int n) {
   NMCDR_OP_STREAM_ENTRY(OpKind::kTileRows, &a);
   NMCDR_CHECK_EQ(a.rows(), 1);
   NMCDR_CHECK_GT(n, 0);
-  Matrix out(n, a.cols());
+  Matrix out = Matrix::ForOverwrite(n, a.cols());
   for (int r = 0; r < n; ++r) {
     const float* src = a.value().row(0);
     float* dst = out.row(r);
@@ -449,7 +451,8 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
   NMCDR_OP_STREAM_ENTRY(OpKind::kRowDot, &a, &b);
   return MakeOpNode("RowDot",
       k::RowDot(a.value(), b.value()), {a, b}, [a, b](Node* self) {
-        Matrix da(a.rows(), a.cols()), db(b.rows(), b.cols());
+        Matrix da = Matrix::ForOverwrite(a.rows(), a.cols());
+        Matrix db = Matrix::ForOverwrite(b.rows(), b.cols());
         for (int r = 0; r < a.rows(); ++r) {
           const float g = self->grad.At(r, 0);
           const float* ar = a.value().row(r);
@@ -461,8 +464,8 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
             dbr[c] = g * ar[c];
           }
         }
-        a.raw()->AccumulateGrad(da);
-        b.raw()->AccumulateGrad(db);
+        a.raw()->AccumulateGrad(std::move(da));
+        b.raw()->AccumulateGrad(std::move(db));
       });
 }
 
@@ -472,7 +475,7 @@ Tensor ScaleRows(const Tensor& a, const Tensor& s) {
   NMCDR_OP_STREAM_ENTRY(OpKind::kScaleRows, &a, &s);
   NMCDR_CHECK_EQ(s.cols(), 1);
   NMCDR_CHECK_EQ(s.rows(), a.rows());
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   for (int r = 0; r < a.rows(); ++r) {
     const float sv = s.value().At(r, 0);
     const float* ar = a.value().row(r);
@@ -480,8 +483,8 @@ Tensor ScaleRows(const Tensor& a, const Tensor& s) {
     for (int c = 0; c < a.cols(); ++c) o[c] = sv * ar[c];
   }
   return MakeOpNode("ScaleRows", std::move(out), {a, s}, [a, s](Node* self) {
-    Matrix da(a.rows(), a.cols());
-    Matrix ds(s.rows(), 1);
+    Matrix da = Matrix::ForOverwrite(a.rows(), a.cols());
+    Matrix ds = Matrix::ForOverwrite(s.rows(), 1);
     for (int r = 0; r < a.rows(); ++r) {
       const float sv = s.value().At(r, 0);
       const float* g = self->grad.row(r);
@@ -494,8 +497,8 @@ Tensor ScaleRows(const Tensor& a, const Tensor& s) {
       }
       ds.At(r, 0) = static_cast<float>(acc);
     }
-    a.raw()->AccumulateGrad(da);
-    s.raw()->AccumulateGrad(ds);
+    a.raw()->AccumulateGrad(std::move(da));
+    s.raw()->AccumulateGrad(std::move(ds));
   });
 }
 
@@ -521,10 +524,10 @@ Tensor BceWithLogits(const Tensor& logits, const std::vector<float>& labels) {
   out.At(0, 0) = static_cast<float>(total / n);
   return MakeOpNode("BceWithLogits", std::move(out), {logits}, [logits, labels, n](Node* self) {
     const float g = self->grad.At(0, 0) / static_cast<float>(n);
-    Matrix dz(n, 1);
+    Matrix dz = Matrix::ForOverwrite(n, 1);
     Matrix p = k::Sigmoid(logits.value());
     for (int i = 0; i < n; ++i) dz.At(i, 0) = g * (p.At(i, 0) - labels[i]);
-    logits.raw()->AccumulateGrad(dz);
+    logits.raw()->AccumulateGrad(std::move(dz));
   });
 }
 
@@ -548,7 +551,8 @@ Tensor BprLoss(const Tensor& pos_scores, const Tensor& neg_scores) {
       std::move(out), {pos_scores, neg_scores},
       [pos_scores, neg_scores, n](Node* self) {
         const float g = self->grad.At(0, 0) / static_cast<float>(n);
-        Matrix dpos(n, 1), dneg(n, 1);
+        Matrix dpos = Matrix::ForOverwrite(n, 1);
+        Matrix dneg = Matrix::ForOverwrite(n, 1);
         for (int i = 0; i < n; ++i) {
           const float d =
               pos_scores.value().At(i, 0) - neg_scores.value().At(i, 0);
@@ -558,8 +562,8 @@ Tensor BprLoss(const Tensor& pos_scores, const Tensor& neg_scores) {
           dpos.At(i, 0) = -g * s;
           dneg.At(i, 0) = g * s;
         }
-        pos_scores.raw()->AccumulateGrad(dpos);
-        neg_scores.raw()->AccumulateGrad(dneg);
+        pos_scores.raw()->AccumulateGrad(std::move(dpos));
+        neg_scores.raw()->AccumulateGrad(std::move(dneg));
       });
 }
 
@@ -575,81 +579,38 @@ Tensor NeighborAttention(
   NMCDR_OP_STREAM_ENTRY(OpKind::kNeighborAttention, &users, &items);
   NMCDR_CHECK_EQ(static_cast<int>(candidates->size()), users.rows());
   NMCDR_CHECK_EQ(users.cols(), items.cols());
-  const int n = users.rows();
-  const int d = users.cols();
-  const Matrix& u = users.value();
   const Matrix& v = items.value();
-
-  // Forward: per-user softmax attention over candidate items.
-  auto alpha = std::make_shared<std::vector<std::vector<float>>>(n);
-  Matrix out(n, d);
-  for (int i = 0; i < n; ++i) {
-    const std::vector<int>& cand = (*candidates)[i];
-    if (cand.empty()) continue;
-    std::vector<float>& a = (*alpha)[i];
-    a.resize(cand.size());
-    const float* ur = u.row(i);
-    float mx = -1e30f;
-    for (size_t j = 0; j < cand.size(); ++j) {
-      NMCDR_CHECK_GE(cand[j], 0);
-      NMCDR_CHECK_LT(cand[j], v.rows());
-      const float* vr = v.row(cand[j]);
-      double s = 0.0;
-      for (int c = 0; c < d; ++c) s += static_cast<double>(ur[c]) * vr[c];
-      a[j] = static_cast<float>(s);
-      mx = std::max(mx, a[j]);
+  // Every candidate id is checked once, up front, so the attention core
+  // runs no checks; the same pass sizes the flat per-call weight buffer.
+  int total = 0;
+  for (const std::vector<int>& cand : *candidates) {
+    for (const int id : cand) {
+      NMCDR_CHECK_GE(id, 0);
+      NMCDR_CHECK_LT(id, v.rows());
     }
-    double total = 0.0;
-    for (float& s : a) {
-      s = std::exp(s - mx);
-      total += s;
-    }
-    const float inv = static_cast<float>(1.0 / total);
-    float* o = out.row(i);
-    for (size_t j = 0; j < cand.size(); ++j) {
-      a[j] *= inv;
-      const float* vr = v.row(cand[j]);
-      for (int c = 0; c < d; ++c) o[c] += a[j] * vr[c];
-    }
+    total += static_cast<int>(cand.size());
   }
+
+  // Forward: per-user softmax attention over candidate items. alpha holds
+  // every user's weights back to back (arena storage on the replay path)
+  // and moves into the backward closure.
+  Matrix alpha = Matrix::ForOverwrite(1, total);
+  Matrix out = Matrix::ForOverwrite(users.rows(), users.cols());
+  VectorNeighborAttentionForward(users.value(), v, *candidates, alpha.data(),
+                                 &out);
 
   return MakeOpNode("NeighborAttention",
       std::move(out), {users, items},
-      [users, items, candidates, alpha, n, d](Node* self) {
+      [users, items, candidates, alpha = std::move(alpha)](Node* self) {
         const Matrix& u = users.value();
         const Matrix& v = items.value();
-        Matrix du(u.rows(), d), dv(v.rows(), d);
-        for (int i = 0; i < n; ++i) {
-          const std::vector<int>& cand = (*candidates)[i];
-          if (cand.empty()) continue;
-          const std::vector<float>& a = (*alpha)[i];
-          const float* g = self->grad.row(i);
-          const float* ur = u.row(i);
-          // gv_j = g . v_j for each candidate; gvbar = sum_j a_j gv_j.
-          std::vector<float> gv(cand.size());
-          double gvbar = 0.0;
-          for (size_t j = 0; j < cand.size(); ++j) {
-            const float* vr = v.row(cand[j]);
-            double s = 0.0;
-            for (int c = 0; c < d; ++c) s += static_cast<double>(g[c]) * vr[c];
-            gv[j] = static_cast<float>(s);
-            gvbar += a[j] * s;
-          }
-          float* dur = du.row(i);
-          for (size_t j = 0; j < cand.size(); ++j) {
-            // dL/ds_ij = a_j (gv_j - gvbar)
-            const float ds = a[j] * (gv[j] - static_cast<float>(gvbar));
-            const float* vr = v.row(cand[j]);
-            float* dvr = dv.row(cand[j]);
-            for (int c = 0; c < d; ++c) {
-              dur[c] += ds * vr[c];
-              // dv gets the score-path term plus the direct convex-mix term.
-              dvr[c] += ds * ur[c] + a[j] * g[c];
-            }
-          }
-        }
-        users.raw()->AccumulateGrad(du);
-        items.raw()->AccumulateGrad(dv);
+        Matrix ds = Matrix::ForOverwrite(1, alpha.cols());
+        Matrix du = Matrix::ForOverwrite(u.rows(), u.cols());
+        Matrix dv(v.rows(), v.cols());
+        VectorNeighborAttentionBackward(u, v, *candidates, alpha.data(),
+                                        self->grad, ds.data(), &du, &dv);
+        users.raw()->AccumulateGrad(std::move(du));
+        items.raw()->AccumulateGrad(std::move(dv));
       });
 }
 

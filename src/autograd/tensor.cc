@@ -26,8 +26,28 @@ void Node::AccumulateGrad(const Matrix& g) {
   if (!requires_grad) return;
   NMCDR_CHECK_EQ(g.rows(), value.rows());
   NMCDR_CHECK_EQ(g.cols(), value.cols());
-  if (grad.empty()) grad = Matrix(value.rows(), value.cols());
-  AxpyInto(g, 1.f, &grad);
+  if (!grad.empty()) {
+    AxpyInto(g, 1.f, &grad);
+    return;
+  }
+  if (backward) {
+    grad = Matrix::ForOverwrite(value.rows(), value.cols());
+  } else {
+    grad = g;  // copy-assignment owns heap storage, even inside an arena
+  }
+  FirstAccumInto(g, &grad);
+}
+
+void Node::AccumulateGrad(Matrix&& g) {
+  if (!requires_grad) return;
+  if (grad.empty() && (backward || !g.arena_backed())) {
+    NMCDR_CHECK_EQ(g.rows(), value.rows());
+    NMCDR_CHECK_EQ(g.cols(), value.cols());
+    grad = std::move(g);
+    FirstAccumInto(grad, &grad);
+    return;
+  }
+  AccumulateGrad(static_cast<const Matrix&>(g));
 }
 
 Tensor::Tensor(Matrix value, bool requires_grad)

@@ -38,8 +38,16 @@ class Node {
   /// use-after-Backward. Never set on leaves.
   bool consumed = false;
 
-  /// Adds `g` into this node's gradient if it requires grad.
+  /// Adds `g` into this node's gradient if it requires grad. The first
+  /// accumulation into an empty grad stores FirstAccumInto(g) in one pass:
+  /// bitwise what adding `g` to a zero-filled grad would leave.
   void AccumulateGrad(const Matrix& g);
+
+  /// Same, but an empty grad adopts `g`'s storage (normalized in place by
+  /// the same FirstAccumInto) instead of copying it. A leaf — a parameter,
+  /// whose grad must outlive the step's arena — never adopts arena
+  /// storage: its grad is always heap-owned.
+  void AccumulateGrad(Matrix&& g);
 };
 
 /// Value-semantics handle to a graph node. Copying a Tensor aliases the

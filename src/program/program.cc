@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/matrix_ops.h"
+#include "tensor/vector_kernels.h"
 #include "util/check.h"
 
 namespace nmcdr {
@@ -85,17 +86,18 @@ FusedAct EpilogueActFor(ag::OpKind kind) {
 /// Bitwise mirror of AccumulateGrad's normalization: every link between
 /// two fused ops corresponds to an eager intermediate whose grad was
 /// `zeros + g`, and IEEE 0+x is not always x (-0 becomes +0), so the
-/// fused backward replays the same add.
+/// fused backward replays the same add (FirstAccumInto, one pass).
 Matrix NormalizeLinkGrad(const Matrix& g) {
-  Matrix norm(g.rows(), g.cols());
-  AxpyInto(g, 1.f, &norm);
+  Matrix norm = Matrix::ForOverwrite(g.rows(), g.cols());
+  FirstAccumInto(g, &norm);
   return norm;
 }
 
 /// Activation backward bodies, element-for-element identical to the eager
 /// closures in autograd/ops.cc.
 Matrix ActBackward(ag::OpKind kind, const Matrix& y, const Matrix& g) {
-  Matrix da(g.rows(), g.cols());
+  if (kind == ag::OpKind::kExp) return k::Hadamard(g, y);
+  Matrix da = Matrix::ForOverwrite(g.rows(), g.cols());
   switch (kind) {
     case ag::OpKind::kRelu:
       for (int i = 0; i < da.size(); ++i) {
@@ -113,9 +115,6 @@ Matrix ActBackward(ag::OpKind kind, const Matrix& y, const Matrix& g) {
         const float yv = y.data()[i];
         da.data()[i] = g.data()[i] * (1.f - yv * yv);
       }
-      break;
-    case ag::OpKind::kExp:
-      da = k::Hadamard(g, y);
       break;
     default:
       NMCDR_DCHECK(false);  // unreachable: callers pass activation kinds only
@@ -449,6 +448,7 @@ void GraphProgram::EndReplay() {
   }
   if (step_ok_) {
     ++replay_steps_;
+    arena_zeroed_bytes_ = static_cast<int64_t>(arena_.step_zeroed_bytes());
   } else {
     ++fallback_steps_;
   }
@@ -646,7 +646,7 @@ void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
     const ag::Tensor bias = with_bias ? run_.inputs[2] : ag::Tensor();
     const FusedAct act = with_act ? g.act : FusedAct::kNone;
 
-    Matrix value(a.rows(), b.cols());
+    Matrix value = Matrix::ForOverwrite(a.rows(), b.cols());
     {
       // program.cc is the dispatch site for the fused kernels (they have
       // no matrix_ops free-function dispatcher), so the obs probe lives
@@ -774,7 +774,7 @@ void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
     eltwise_scratch_.push_back(st);
   }
 
-  Matrix value(seed.rows(), seed.cols());
+  Matrix value = Matrix::ForOverwrite(seed.rows(), seed.cols());
   {
     const obs::KernelScope scope(
         obs::Kernel::kFusedEltwise,
@@ -963,8 +963,8 @@ bool GraphProgram::ReplaySpMM(const std::shared_ptr<const CsrMatrix>& a,
   std::shared_ptr<const SpMMPlan> plan = PlanFor(pc_, a);
   ++pc_;
 
-  // Forward is the eager CSR kernel (already gather-form, bitwise by
-  // construction); the plan accelerates backward.
+  // Forward is the eager CSR kernel (already gather form); the plan turns
+  // backward into the same register-row core over CSR^T.
   const bool rg = ag::GradEnabled() && x.requires_grad();
   ag::Tensor result(a->Multiply(x.value()), rg);
   ag::Node* node = result.raw();
@@ -973,16 +973,10 @@ bool GraphProgram::ReplaySpMM(const std::shared_ptr<const CsrMatrix>& a,
     node->parents.assign(1, x.node());
     node->backward = [x, plan](ag::Node* self) {
       const Matrix& g = self->grad;
-      Matrix dx(plan->cols, g.cols());
-      for (int c = 0; c < plan->cols; ++c) {
-        float* orow = dx.row(c);
-        for (int64_t e = plan->t_row_ptr[c]; e < plan->t_row_ptr[c + 1]; ++e) {
-          const float v = plan->t_val[e];
-          const float* grow = g.row(plan->t_src_row[e]);
-          for (int j = 0; j < g.cols(); ++j) orow[j] += v * grow[j];
-        }
-      }
-      x.raw()->AccumulateGrad(dx);
+      Matrix dx = Matrix::ForOverwrite(plan->cols, g.cols());
+      VectorSparseRowsMultiply(plan->t_row_ptr.data(), plan->t_src_row.data(),
+                               plan->t_val.data(), g, &dx);
+      x.raw()->AccumulateGrad(std::move(dx));
     };
   }
   *out = result;
@@ -1003,6 +997,7 @@ ProgramStats GraphProgram::stats() const {
   s.spmm_plans = static_cast<int>(spmm_plans_.size());
   s.arena_reserved_bytes = static_cast<int64_t>(arena_.capacity_bytes());
   s.arena_peak_bytes = static_cast<int64_t>(arena_.peak_bytes());
+  s.arena_zeroed_bytes = arena_zeroed_bytes_;
   s.arena_growth_events = arena_.growth_events();
   s.replay_steps = replay_steps_;
   s.fallback_steps = fallback_steps_;
@@ -1056,6 +1051,8 @@ void GraphProgram::PublishMetrics() const {
       .Set(static_cast<double>(s.arena_reserved_bytes));
   m.GetGauge("program.arena_peak_bytes")
       .Set(static_cast<double>(s.arena_peak_bytes));
+  m.GetGauge("program.arena_zeroed_bytes")
+      .Set(static_cast<double>(s.arena_zeroed_bytes));
   m.GetGauge("program.replay_steps").Set(static_cast<double>(s.replay_steps));
   m.GetGauge("program.fallback_steps")
       .Set(static_cast<double>(s.fallback_steps));

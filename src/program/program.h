@@ -35,6 +35,10 @@ struct ProgramStats {
   int spmm_plans = 0;           ///< adjacency ops with static gather plans
   int64_t arena_reserved_bytes = 0;
   int64_t arena_peak_bytes = 0;
+  /// Arena bytes zero-filled during the last fully replayed step: the
+  /// storage of zero-initialized matrices (accumulation targets), as
+  /// opposed to the write-once outputs handed out unfilled.
+  int64_t arena_zeroed_bytes = 0;
   /// Arena reserve misses after compile; steady state must stay at 0.
   int64_t arena_growth_events = 0;
   int64_t replay_steps = 0;     ///< steps replayed through the program
@@ -91,8 +95,9 @@ class GraphProgram final : public ag::OpStreamHandler {
 
   /// Publishes program gauges ("program.instrs", "program.fusion_groups",
   /// "program.fused_ops", "program.arena_reserved_bytes",
-  /// "program.arena_peak_bytes", "program.replay_steps",
-  /// "program.fallback_steps") to the global metrics registry.
+  /// "program.arena_peak_bytes", "program.arena_zeroed_bytes",
+  /// "program.replay_steps", "program.fallback_steps") to the global
+  /// metrics registry.
   void PublishMetrics() const;
 
   /// Records the op stream of the step executed inside the scope; the
@@ -295,6 +300,7 @@ class GraphProgram final : public ag::OpStreamHandler {
   std::vector<EltwiseStep> eltwise_scratch_;
   int64_t replay_steps_ = 0;
   int64_t fallback_steps_ = 0;
+  int64_t arena_zeroed_bytes_ = 0;
 };
 
 }  // namespace prog

@@ -240,7 +240,7 @@ std::string ShardLayout::ToJson() const {
 
 bool ShardLayout::Parse(const std::string& json, ShardLayout* out,
                         std::string* error) {
-  Cursor cursor{json};
+  Cursor cursor{json, /*i=*/0, /*err=*/{}};
   ShardLayout parsed;
   parsed.num_shards = 0;
   bool saw_schema = false, saw_shards = false, saw_domains = false;

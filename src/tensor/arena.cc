@@ -1,6 +1,8 @@
 #include "tensor/arena.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "util/check.h"
 
@@ -57,6 +59,16 @@ float* BumpArena::Alloc(size_t elems) {
   b.used += need;
   used_floats_ += need;
   peak_floats_ = std::max(peak_floats_, used_floats_);
+  if (NmcdrDebugChecksEnabled()) {
+    std::fill(p, p + elems, std::numeric_limits<float>::quiet_NaN());
+  }
+  return p;
+}
+
+float* BumpArena::AllocZeroed(size_t elems) {
+  float* p = Alloc(elems);
+  std::memset(p, 0, elems * sizeof(float));
+  zeroed_floats_ += elems;
   return p;
 }
 
@@ -64,6 +76,7 @@ void BumpArena::ResetStep() {
   for (Block& b : blocks_) b.used = 0;
   cur_ = 0;
   used_floats_ = 0;
+  zeroed_floats_ = 0;
   ++steps_;
 }
 

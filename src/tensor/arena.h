@@ -39,8 +39,17 @@ class BumpArena {
   /// Returns storage for `elems` floats, valid until ResetStep(). Grows by
   /// appending a new block when the current blocks are exhausted (counted
   /// in growth_events(); steady state must not grow). Returned storage is
-  /// NOT zeroed — Matrix handles fill semantics.
+  /// NOT filled: it still holds whatever an earlier step left there, which
+  /// is what a write-once Matrix (Matrix::ForOverwrite) wants. Under
+  /// NMCDR_DEBUG_CHECKS it is filled with NaN instead, so a kernel that
+  /// reads an element before writing it poisons its result rather than
+  /// silently reusing an old step's value.
   float* Alloc(size_t elems);
+
+  /// Alloc() followed by a zero fill (memset), counted in
+  /// step_zeroed_bytes(): the storage of every zero-initialized Matrix
+  /// built inside a scope.
+  float* AllocZeroed(size_t elems);
 
   /// Rewinds all blocks. Everything previously returned by Alloc() is
   /// dead. Updates the high-water statistics.
@@ -54,6 +63,9 @@ class BumpArena {
 
   /// Bytes handed out since the last ResetStep().
   size_t step_bytes() const { return used_floats_ * sizeof(float); }
+
+  /// Bytes AllocZeroed() zero-filled since the last ResetStep().
+  size_t step_zeroed_bytes() const { return zeroed_floats_ * sizeof(float); }
 
   /// Number of times Alloc() had to append a block (reserve misses).
   int64_t growth_events() const { return growth_events_; }
@@ -75,6 +87,7 @@ class BumpArena {
   size_t cur_ = 0;  // index of the block currently being bumped
   size_t capacity_floats_ = 0;
   size_t used_floats_ = 0;
+  size_t zeroed_floats_ = 0;
   size_t peak_floats_ = 0;
   int64_t growth_events_ = 0;
   int64_t steps_ = 0;

@@ -262,38 +262,38 @@ Matrix SerialBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix SerialBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), b.rows());
+  Matrix out = Matrix::ForOverwrite(a.rows(), b.rows());
   MatMulTransBRows(a, b, &out, 0, a.rows());
   return out;
 }
 
 Matrix SerialBackend::Transpose(const Matrix& a) const {
-  Matrix out(a.cols(), a.rows());
+  Matrix out = Matrix::ForOverwrite(a.cols(), a.rows());
   TransposeRows(a, &out, 0, a.rows());
   return out;
 }
 
 Matrix SerialBackend::Add(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   Ew2Range(a, b, &out, 0, a.size(), [](float x, float y) { return x + y; });
   return out;
 }
 
 Matrix SerialBackend::Sub(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   Ew2Range(a, b, &out, 0, a.size(), [](float x, float y) { return x - y; });
   return out;
 }
 
 Matrix SerialBackend::Hadamard(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   Ew2Range(a, b, &out, 0, a.size(), [](float x, float y) { return x * y; });
   return out;
 }
 
 Matrix SerialBackend::Axpby(const Matrix& a, float alpha, const Matrix& b,
                             float beta) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   Ew2Range(a, b, &out, 0, a.size(), [alpha, beta](float x, float y) {
     return alpha * x + beta * y;
   });
@@ -305,73 +305,73 @@ void SerialBackend::AxpyInto(const Matrix& a, float alpha, Matrix* out) const {
 }
 
 Matrix SerialBackend::Scale(const Matrix& a, float s) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), [s](float x) { return s * x; });
   return out;
 }
 
 Matrix SerialBackend::AddScalar(const Matrix& a, float s) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), [s](float x) { return x + s; });
   return out;
 }
 
 Matrix SerialBackend::AddRowBroadcast(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   AddRowBroadcastRows(a, b, &out, 0, a.rows());
   return out;
 }
 
 Matrix SerialBackend::Relu(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), ReluScalar);
   return out;
 }
 
 Matrix SerialBackend::Sigmoid(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), SigmoidScalar);
   return out;
 }
 
 Matrix SerialBackend::Tanh(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), TanhScalar);
   return out;
 }
 
 Matrix SerialBackend::Softplus(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), SoftplusScalar);
   return out;
 }
 
 Matrix SerialBackend::Exp(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), ExpScalar);
   return out;
 }
 
 Matrix SerialBackend::Log(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   EwRange(a, &out, 0, a.size(), LogScalar);
   return out;
 }
 
 Matrix SerialBackend::SoftmaxRows(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   SoftmaxRowsRange(a, &out, 0, a.rows());
   return out;
 }
 
 Matrix SerialBackend::RowSum(const Matrix& a) const {
-  Matrix out(a.rows(), 1);
+  Matrix out = Matrix::ForOverwrite(a.rows(), 1);
   RowSumRange(a, &out, 0, a.rows());
   return out;
 }
 
 Matrix SerialBackend::RowDot(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), 1);
+  Matrix out = Matrix::ForOverwrite(a.rows(), 1);
   RowDotRange(a, b, &out, 0, a.rows());
   return out;
 }
@@ -384,7 +384,8 @@ Matrix SerialBackend::ColSum(const Matrix& a) const {
 
 Matrix SerialBackend::GatherRows(const Matrix& table,
                                  const std::vector<int>& ids) const {
-  Matrix out(static_cast<int>(ids.size()), table.cols());
+  Matrix out =
+      Matrix::ForOverwrite(static_cast<int>(ids.size()), table.cols());
   GatherRowsRange(table, ids, &out, 0, static_cast<int64_t>(ids.size()));
   return out;
 }
@@ -400,7 +401,7 @@ void SerialBackend::ScatterAddRows(const Matrix& src,
 }
 
 Matrix SerialBackend::ConcatCols(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols() + b.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols() + b.cols());
   ConcatColsRows(a, b, &out, 0, a.rows());
   return out;
 }
@@ -427,9 +428,9 @@ Matrix SerialBackend::PlannedMatMulTransB(const Matrix& a,
                                           const Matrix& b) const {
   // Transposing B once costs k*n float moves against the m*k*n GEMM and
   // buys contiguous tile loads; the per-element double chain is untouched.
-  Matrix bt(b.cols(), b.rows());
+  Matrix bt = Matrix::ForOverwrite(b.cols(), b.rows());
   TransposeRows(b, &bt, 0, b.rows());
-  Matrix out(a.rows(), b.rows());
+  Matrix out = Matrix::ForOverwrite(a.rows(), b.rows());
   PlannedMatMulTransBRows(a, bt, &out, 0, a.rows());
   return out;
 }
@@ -447,13 +448,13 @@ void VectorBackend::MatMulAccumInto(const Matrix& a, const Matrix& b,
 }
 
 Matrix VectorBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.cols(), b.cols());
+  Matrix out = Matrix::ForOverwrite(a.cols(), b.cols());
   VectorMatMulTransATile(a, b, &out, 0, a.cols(), 0, b.cols());
   return out;
 }
 
 Matrix VectorBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), b.rows());
+  Matrix out = Matrix::ForOverwrite(a.rows(), b.rows());
   VectorMatMulTransBTile(a, b, &out, 0, a.rows(), 0, b.rows());
   return out;
 }
@@ -586,7 +587,7 @@ void ParallelBackend::MatMulAccumInto(const Matrix& a, const Matrix& b,
 }
 
 Matrix ParallelBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.cols(), b.cols());
+  Matrix out = Matrix::ForOverwrite(a.cols(), b.cols());
   TiledGemm(pool(), a.cols(), b.cols(), a.rows(),
             [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
               VectorMatMulTransATile(a, b, &out, r0, r1, c0, c1);
@@ -595,7 +596,7 @@ Matrix ParallelBackend::MatMulTransA(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix ParallelBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), b.rows());
+  Matrix out = Matrix::ForOverwrite(a.rows(), b.rows());
   TiledGemm(pool(), a.rows(), b.rows(), a.cols(),
             [&](int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
               VectorMatMulTransBTile(a, b, &out, r0, r1, c0, c1);
@@ -604,7 +605,7 @@ Matrix ParallelBackend::MatMulTransB(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix ParallelBackend::Transpose(const Matrix& a) const {
-  Matrix out(a.cols(), a.rows());
+  Matrix out = Matrix::ForOverwrite(a.cols(), a.rows());
   pool()->ParallelFor(0, a.rows(), GrainFor(a.cols()),
                       [&](int64_t r0, int64_t r1) {
                         TransposeRows(a, &out, r0, r1);
@@ -613,7 +614,7 @@ Matrix ParallelBackend::Transpose(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::Add(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         Ew2Range(a, b, &out, i0, i1,
@@ -623,7 +624,7 @@ Matrix ParallelBackend::Add(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix ParallelBackend::Sub(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         Ew2Range(a, b, &out, i0, i1,
@@ -633,7 +634,7 @@ Matrix ParallelBackend::Sub(const Matrix& a, const Matrix& b) const {
 }
 
 Matrix ParallelBackend::Hadamard(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         Ew2Range(a, b, &out, i0, i1,
@@ -644,7 +645,7 @@ Matrix ParallelBackend::Hadamard(const Matrix& a, const Matrix& b) const {
 
 Matrix ParallelBackend::Axpby(const Matrix& a, float alpha, const Matrix& b,
                               float beta) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         Ew2Range(a, b, &out, i0, i1,
@@ -664,7 +665,7 @@ void ParallelBackend::AxpyInto(const Matrix& a, float alpha,
 }
 
 Matrix ParallelBackend::Scale(const Matrix& a, float s) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1,
@@ -674,7 +675,7 @@ Matrix ParallelBackend::Scale(const Matrix& a, float s) const {
 }
 
 Matrix ParallelBackend::AddScalar(const Matrix& a, float s) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1,
@@ -685,7 +686,7 @@ Matrix ParallelBackend::AddScalar(const Matrix& a, float s) const {
 
 Matrix ParallelBackend::AddRowBroadcast(const Matrix& a,
                                         const Matrix& b) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.rows(), GrainFor(a.cols()),
                       [&](int64_t r0, int64_t r1) {
                         AddRowBroadcastRows(a, b, &out, r0, r1);
@@ -694,7 +695,7 @@ Matrix ParallelBackend::AddRowBroadcast(const Matrix& a,
 }
 
 Matrix ParallelBackend::Relu(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), kMinWorkPerChunk,
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1, ReluScalar);
@@ -703,7 +704,7 @@ Matrix ParallelBackend::Relu(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::Sigmoid(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), GrainFor(kTranscendentalCost),
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1, SigmoidScalar);
@@ -712,7 +713,7 @@ Matrix ParallelBackend::Sigmoid(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::Tanh(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), GrainFor(kTranscendentalCost),
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1, TanhScalar);
@@ -721,7 +722,7 @@ Matrix ParallelBackend::Tanh(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::Softplus(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), GrainFor(kTranscendentalCost),
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1, SoftplusScalar);
@@ -730,7 +731,7 @@ Matrix ParallelBackend::Softplus(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::Exp(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), GrainFor(kTranscendentalCost),
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1, ExpScalar);
@@ -739,7 +740,7 @@ Matrix ParallelBackend::Exp(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::Log(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.size(), GrainFor(kTranscendentalCost),
                       [&](int64_t i0, int64_t i1) {
                         EwRange(a, &out, i0, i1, LogScalar);
@@ -748,7 +749,7 @@ Matrix ParallelBackend::Log(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::SoftmaxRows(const Matrix& a) const {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
   pool()->ParallelFor(0, a.rows(),
                       GrainFor(static_cast<int64_t>(a.cols()) *
                                kTranscendentalCost),
@@ -759,7 +760,7 @@ Matrix ParallelBackend::SoftmaxRows(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::RowSum(const Matrix& a) const {
-  Matrix out(a.rows(), 1);
+  Matrix out = Matrix::ForOverwrite(a.rows(), 1);
   pool()->ParallelFor(0, a.rows(), GrainFor(a.cols()),
                       [&](int64_t r0, int64_t r1) {
                         RowSumRange(a, &out, r0, r1);
@@ -768,7 +769,7 @@ Matrix ParallelBackend::RowSum(const Matrix& a) const {
 }
 
 Matrix ParallelBackend::RowDot(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), 1);
+  Matrix out = Matrix::ForOverwrite(a.rows(), 1);
   pool()->ParallelFor(0, a.rows(), GrainFor(a.cols()),
                       [&](int64_t r0, int64_t r1) {
                         RowDotRange(a, b, &out, r0, r1);
@@ -789,7 +790,8 @@ Matrix ParallelBackend::ColSum(const Matrix& a) const {
 
 Matrix ParallelBackend::GatherRows(const Matrix& table,
                                    const std::vector<int>& ids) const {
-  Matrix out(static_cast<int>(ids.size()), table.cols());
+  Matrix out =
+      Matrix::ForOverwrite(static_cast<int>(ids.size()), table.cols());
   pool()->ParallelFor(0, static_cast<int64_t>(ids.size()),
                       GrainFor(table.cols()), [&](int64_t i0, int64_t i1) {
                         GatherRowsRange(table, ids, &out, i0, i1);
@@ -830,7 +832,7 @@ void ParallelBackend::ScatterAddRows(const Matrix& src,
 }
 
 Matrix ParallelBackend::ConcatCols(const Matrix& a, const Matrix& b) const {
-  Matrix out(a.rows(), a.cols() + b.cols());
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols() + b.cols());
   pool()->ParallelFor(0, a.rows(), GrainFor(a.cols() + b.cols()),
                       [&](int64_t r0, int64_t r1) {
                         ConcatColsRows(a, b, &out, r0, r1);

@@ -109,9 +109,10 @@ class KernelBackend {
   // the op sequence each replaces — same per-element float operation order
   // as the separate kernels, at any thread count.
 
-  /// out += a * b, then per row out = act(out + bias) (bias optional, a
-  /// 1 x b.cols() row vector; nullptr skips it). `out` must be pre-zeroed,
-  /// matching MatMul = Zeros + MatMulAccumInto.
+  /// out = a * b, then per row out = act(out + bias) (bias optional, a
+  /// 1 x b.cols() row vector; nullptr skips it). Overwrites `out`, which
+  /// may be unfilled (Matrix::ForOverwrite): the product is accumulated
+  /// from +0.0, matching MatMul = Zeros + MatMulAccumInto.
   virtual void FusedMatMulBiasActInto(const Matrix& a, const Matrix& b,
                                       const Matrix* bias, FusedAct act,
                                       Matrix* out) const = 0;

@@ -12,6 +12,8 @@
 
 #include "tensor/fused_kernels.h"
 
+#include <cstring>
+
 #include "tensor/backend.h"
 #include "tensor/matrix.h"
 #include "tensor/scalar_kernels.h"
@@ -187,6 +189,10 @@ void PlannedMatMulTransBRows(const Matrix& a, const Matrix& bt, Matrix* out,
 
 void FusedMatMulRows(const Matrix& a, const Matrix& b, const Matrix* bias,
                      FusedAct act, Matrix* out, int64_t r0, int64_t r1) {
+  if (r1 > r0) {
+    std::memset(out->row(static_cast<int>(r0)), 0,
+                sizeof(float) * static_cast<size_t>((r1 - r0) * out->cols()));
+  }
   PlannedMatMulAccumRows(a, b, out, r0, r1);
   const int n = b.cols();
   const float* brow = bias != nullptr ? bias->row(0) : nullptr;

@@ -34,8 +34,8 @@ void PlannedMatMulTransARows(const Matrix& a, const Matrix& b, Matrix* out,
 void PlannedMatMulTransBRows(const Matrix& a, const Matrix& bt, Matrix* out,
                              int64_t r0, int64_t r1);
 
-/// Rows [r0, r1): accumulate a*b as MatMulAccumRows, then apply the
-/// bias-add and activation in place. Per element this computes
+/// Rows [r0, r1): zero the rows, accumulate a*b as MatMulAccumRows, then
+/// apply the bias-add and activation in place. Per element this computes
 /// act(matmul + bias) with the same float sequence as the separate
 /// MatMul / AddRowBroadcast / activation kernels.
 void FusedMatMulRows(const Matrix& a, const Matrix& b, const Matrix* bias,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -16,7 +17,7 @@ thread_local int64_t tl_heap_alloc_count = 0;
 
 int64_t Matrix::HeapAllocCount() { return tl_heap_alloc_count; }
 
-void Matrix::AllocStorage(size_t n, float fill) {
+void Matrix::AllocStorage(size_t n, Init init, float fill) {
   if (n == 0) {
     ptr_ = nullptr;
     return;
@@ -24,12 +25,22 @@ void Matrix::AllocStorage(size_t n, float fill) {
   BumpArena* arena = ActiveArena();
   if (arena != nullptr) {
     borrowed_ = true;
-    ptr_ = arena->Alloc(n);
-    for (size_t i = 0; i < n; ++i) ptr_[i] = fill;
+    switch (init) {
+      case Init::kZero:
+        ptr_ = arena->AllocZeroed(n);
+        break;
+      case Init::kFill:
+        ptr_ = arena->Alloc(n);
+        std::fill(ptr_, ptr_ + n, fill);
+        break;
+      case Init::kWriteOnce:
+        ptr_ = arena->Alloc(n);
+        break;
+    }
     return;
   }
   const bool grows = owned_.capacity() < n;
-  owned_.assign(n, fill);
+  owned_.assign(n, init == Init::kFill ? fill : 0.f);
   if (grows) ++tl_heap_alloc_count;
   ptr_ = owned_.data();
 }
@@ -37,13 +48,23 @@ void Matrix::AllocStorage(size_t n, float fill) {
 Matrix::Matrix(int rows, int cols) : rows_(rows), cols_(cols) {
   NMCDR_CHECK_GE(rows, 0);
   NMCDR_CHECK_GE(cols, 0);
-  AllocStorage(static_cast<size_t>(rows) * cols, 0.f);
+  AllocStorage(static_cast<size_t>(rows) * cols, Init::kZero, 0.f);
 }
 
 Matrix::Matrix(int rows, int cols, float fill) : rows_(rows), cols_(cols) {
   NMCDR_CHECK_GE(rows, 0);
   NMCDR_CHECK_GE(cols, 0);
-  AllocStorage(static_cast<size_t>(rows) * cols, fill);
+  AllocStorage(static_cast<size_t>(rows) * cols, Init::kFill, fill);
+}
+
+Matrix Matrix::ForOverwrite(int rows, int cols) {
+  NMCDR_DCHECK_GE(rows, 0);
+  NMCDR_DCHECK_GE(cols, 0);
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.AllocStorage(static_cast<size_t>(rows) * cols, Init::kWriteOnce, 0.f);
+  return m;
 }
 
 Matrix::Matrix(const Matrix& other) : rows_(other.rows_), cols_(other.cols_) {
@@ -145,6 +166,10 @@ Matrix Matrix::Xavier(int rows, int cols, Rng* rng) {
 
 void Matrix::Fill(float value) {
   std::fill(ptr_, ptr_ + size(), value);
+}
+
+void Matrix::SetZero() {
+  if (size() > 0) std::memset(ptr_, 0, sizeof(float) * size());
 }
 
 float Matrix::Sum() const {

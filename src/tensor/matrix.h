@@ -34,6 +34,15 @@ class Matrix {
   /// rows x cols matrix filled with `fill`.
   Matrix(int rows, int cols, float fill);
 
+  /// rows x cols matrix for a kernel that writes every element before
+  /// anything reads it (a write-once output). Inside an ArenaScope the
+  /// storage is handed out unfilled — NaN-poisoned under
+  /// NMCDR_DEBUG_CHECKS, so a missed write shows up in the result — which
+  /// saves the zero fill the replayed training step would otherwise pay
+  /// for every kernel output. Heap storage is still zero-filled, so eager
+  /// code sees the same contents as Matrix(rows, cols).
+  static Matrix ForOverwrite(int rows, int cols);
+
   Matrix(const Matrix& other);
   Matrix& operator=(const Matrix& other);
   Matrix(Matrix&& other) noexcept;
@@ -124,8 +133,8 @@ class Matrix {
   /// Sets every entry to `value`.
   void Fill(float value);
 
-  /// Sets every entry to zero (keeps shape).
-  void SetZero() { Fill(0.f); }
+  /// Sets every entry to +0.0 (keeps shape).
+  void SetZero();
 
   /// Sum / mean / min / max over all entries.
   float Sum() const;
@@ -144,10 +153,14 @@ class Matrix {
   std::string DebugString() const;
 
  private:
-  /// Points ptr_ at a fresh buffer of `n` floats filled with `fill`:
-  /// borrowed from the active arena when one is in scope, else owning heap
-  /// storage (reusing owned_ capacity where possible).
-  void AllocStorage(size_t n, float fill);
+  /// How AllocStorage initializes a fresh buffer.
+  enum class Init { kZero, kFill, kWriteOnce };
+
+  /// Points ptr_ at a fresh buffer of `n` floats initialized per `init`
+  /// (`fill` is read for kFill only): borrowed from the active arena when
+  /// one is in scope, else owning heap storage (reusing owned_ capacity
+  /// where possible). Heap storage is zero-filled for kWriteOnce too.
+  void AllocStorage(size_t n, Init init, float fill);
 
   int rows_ = 0;
   int cols_ = 0;

@@ -2,6 +2,7 @@
 
 #include "obs/trace.h"
 #include "tensor/backend.h"
+#include "tensor/vector_kernels.h"
 
 namespace nmcdr {
 
@@ -96,6 +97,11 @@ void AxpyInto(const Matrix& a, float alpha, Matrix* out) {
   NMCDR_CHECK(a.SameShape(*out));
   const KernelScope scope(Kernel::kAxpyInto, 2 * Elems(a));
   CurrentBackend().AxpyInto(a, alpha, out);
+}
+
+void FirstAccumInto(const Matrix& a, Matrix* out) {
+  NMCDR_CHECK(a.SameShape(*out));
+  VectorAxpyOntoZero(a.data(), out->data(), a.size());
 }
 
 Matrix Scale(const Matrix& a, float s) {
@@ -224,17 +230,11 @@ CsrMatrix::CsrMatrix(
 Matrix CsrMatrix::Multiply(const Matrix& x) const {
   NMCDR_CHECK_EQ(x.rows(), cols_);
   const KernelScope scope(Kernel::kSpMM, 2 * nnz() * x.cols());
-  Matrix out(rows_, x.cols());
-  for (int r = 0; r < rows_; ++r) {
-    float* orow = out.row(r);
-    for (int64_t e = row_ptr_[r]; e < row_ptr_[r + 1]; ++e) {
-      NMCDR_DCHECK_GE(col_idx_[e], 0);
-      NMCDR_DCHECK_LT(col_idx_[e], cols_);
-      const float v = values_[e];
-      const float* xrow = x.row(col_idx_[e]);
-      for (int c = 0; c < x.cols(); ++c) orow[c] += v * xrow[c];
-    }
-  }
+  // The register-row core writes every output row (the CSR form is already
+  // its gather form), so the output needs no zero fill.
+  Matrix out = Matrix::ForOverwrite(rows_, x.cols());
+  VectorSparseRowsMultiply(row_ptr_.data(), col_idx_.data(), values_.data(),
+                           x, &out);
   return out;
 }
 

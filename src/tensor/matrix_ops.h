@@ -43,6 +43,13 @@ Matrix Axpby(const Matrix& a, float alpha, const Matrix& b, float beta);
 /// out += a * alpha, elementwise. Shapes must match.
 void AxpyInto(const Matrix& a, float alpha, Matrix* out);
 
+/// out = 0 + 1 * a, elementwise: bitwise what AxpyInto(a, 1.f, out) leaves
+/// in a zero-filled `out` (-0 becomes +0 and NaNs are quieted; every other
+/// value passes through), in one pass that never reads `out` — which may
+/// be unfilled (Matrix::ForOverwrite) or `a` itself. The first gradient
+/// accumulation into an empty grad stores this.
+void FirstAccumInto(const Matrix& a, Matrix* out);
+
 /// Scalar multiply / add.
 Matrix Scale(const Matrix& a, float s);
 Matrix AddScalar(const Matrix& a, float s);
@@ -103,7 +110,9 @@ class CsrMatrix {
   const std::vector<int>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
 
-  /// Y = A * X (dense X [cols, d] -> Y [rows, d]).
+  /// Y = A * X (dense X [cols, d] -> Y [rows, d]). Each output row sums
+  /// its entries in CSR order from +0.0 (VectorSparseRowsMultiply), under
+  /// every kernel backend.
   Matrix Multiply(const Matrix& x) const;
 
   /// Y = A^T * X (dense X [rows, d] -> Y [cols, d]).

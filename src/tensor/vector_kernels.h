@@ -2,12 +2,15 @@
 #define NMCDR_TENSOR_VECTOR_KERNELS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/backend.h"  // FusedAct
 #include "tensor/matrix.h"
 
 // Register-blocked, cache-tiled, explicitly vectorized GEMM cores (the
-// default vector backend and the tile-sharded ParallelBackend GEMMs).
+// default vector backend and the tile-sharded ParallelBackend GEMMs), plus
+// the register-row sparse cores behind SpMM and NeighborAttention, which
+// every backend shares.
 // Built on the lane abstraction in tensor/simd.h and defined in
 // vector_kernels.cc, a translation unit compiled at -O3 with
 // -ffp-contract=off — see src/tensor/CMakeLists.txt for why that is
@@ -29,8 +32,10 @@ namespace nmcdr {
 void VectorMatMulAccumTile(const Matrix& a, const Matrix& b, Matrix* out,
                            int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
-/// Tile of A^T * B into a zero-initialized out; per element identical to
-/// MatMulTransARows.
+/// Tile of A^T * B, overwriting the tile (its prior contents are never
+/// read, so `out` may be unfilled): each element's accumulator starts at
+/// +0.0 in a register, then per element identical to the serial p-outer
+/// loop over a zero-filled output.
 void VectorMatMulTransATile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
@@ -40,8 +45,9 @@ void VectorMatMulTransATile(const Matrix& a, const Matrix& b, Matrix* out,
 void VectorMatMulTransBTile(const Matrix& a, const Matrix& b, Matrix* out,
                             int64_t r0, int64_t r1, int64_t c0, int64_t c1);
 
-/// Tile of the fused epilogue family: accumulate a*b into the (pre-zeroed)
-/// tile, then per row apply the bias add and activation over [c0, c1).
+/// Tile of the fused epilogue family: the product a*b from +0.0 in
+/// registers (overwriting the tile, which may be unfilled), then per row
+/// the bias add and activation over [c0, c1).
 /// Per element identical to FusedMatMulRows (which itself bit-matches the
 /// separate MatMul / AddRowBroadcast / activation kernels). The bias and
 /// activation are column-wise independent, so a column-tiled epilogue
@@ -53,6 +59,48 @@ void VectorFusedMatMulTile(const Matrix& a, const Matrix& b,
 /// out += alpha * a elementwise, eight lanes at a time; per element the
 /// reference's `o + alpha * in` (AxpyRange).
 void VectorAxpyInto(const Matrix& a, float alpha, Matrix* out);
+
+/// dst[i] = +0.0 + 1 * src[i] for i < n: VectorAxpyInto's per-element
+/// sequence at alpha = 1 onto a zero-filled output, without reading the
+/// output — so `dst` may be unfilled, or `src` itself.
+void VectorAxpyOntoZero(const float* src, float* dst, int64_t n);
+
+/// Sparse rows times a dense matrix: for every output row r,
+///   out.row(r) = sum over e in [row_ptr[r], row_ptr[r+1]) of
+///                vals[e] * x.row(src[e]),
+/// accumulated in ascending e from +0.0 with the row's columns held in
+/// registers (two 8-lane registers at width 16, any width supported).
+/// Per element identical to the CSR loop `o += v * x` over a zero-filled
+/// output, and every row is written (empty rows store +0), so `out` may
+/// be unfilled. Serves both CsrMatrix::Multiply (CSR form) and the graph
+/// program's planned CSR^T backward (its gather form).
+void VectorSparseRowsMultiply(const int64_t* row_ptr, const int* src,
+                              const float* vals, const Matrix& x,
+                              Matrix* out);
+
+/// NeighborAttention forward (the complementing attention of Eq. 18): for
+/// user row i with candidate list L = candidates[i],
+///   s_j = double dot(u_i, v_{L_j}) in ascending columns, rounded to float,
+///   a_j = softmax_j(s) (max-shifted exp, double total, float 1/total),
+///   out_i = sum_j a_j v_{L_j} in ascending j from +0.0.
+/// Up to 16 candidates' dot chains run side by side; per element every
+/// value follows ag::NeighborAttention's scalar reference sequence.
+/// `alpha` receives the concatenated per-user weights (sum of the list
+/// lengths floats); rows with empty lists get +0. Every element of `out`
+/// and `alpha` is written. Candidate ids must already be bounds-checked.
+void VectorNeighborAttentionForward(
+    const Matrix& u, const Matrix& v,
+    const std::vector<std::vector<int>>& candidates, float* alpha,
+    Matrix* out);
+
+/// NeighborAttention backward for upstream grad `g`, given the forward's
+/// `alpha`: overwrites every row of `du` (empty lists store +0) and adds
+/// into `dv`, which must be zero-filled, candidate by candidate in
+/// ascending order. `ds_scratch` holds as many floats as `alpha`.
+void VectorNeighborAttentionBackward(
+    const Matrix& u, const Matrix& v,
+    const std::vector<std::vector<int>>& candidates, const float* alpha,
+    const Matrix& g, float* ds_scratch, Matrix* du, Matrix* dv);
 
 /// 2-D output decomposition for the tile-sharded parallel GEMMs: a grid of
 /// row_block x col_block tiles, flattened row-major into [0, num_tiles())

@@ -318,6 +318,7 @@ ProgramAudit AuditProgram(const std::string& model_name,
   audit.spmm_plans = stats.spmm_plans;
   audit.arena_reserved_bytes = stats.arena_reserved_bytes;
   audit.arena_peak_bytes = stats.arena_peak_bytes;
+  audit.arena_zeroed_bytes = stats.arena_zeroed_bytes;
   audit.groups = program.DescribeGroups();
 
   // Shape equivalence: the recorded program must enumerate exactly the ops
@@ -378,7 +379,8 @@ std::string ProgramReport::ToString() const {
       out << a.instrs << " instrs, " << a.fusion_groups << " fusion groups ("
           << a.fused_ops << " fused ops), " << a.spmm_plans
           << " spmm plans, arena reserved " << a.arena_reserved_bytes / 1024
-          << " KiB peak " << a.arena_peak_bytes / 1024 << " KiB\n";
+          << " KiB peak " << a.arena_peak_bytes / 1024 << " KiB zeroed "
+          << a.arena_zeroed_bytes / 1024 << " KiB/step\n";
       std::istringstream lines(a.groups);
       std::string line;
       while (std::getline(lines, line)) out << "      " << line << "\n";

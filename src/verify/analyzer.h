@@ -97,7 +97,8 @@ AnalyzeReport AnalyzeAllModels(BenchScale scale);
 /// per-op-kind counts and total output elements must match the eager op
 /// stream (shape equivalence), and both step losses must be bitwise equal
 /// (numeric equivalence). Also reports the compiled fusion groups and the
-/// arena plan (reserved capacity / observed peak).
+/// arena plan (reserved capacity / observed peak / bytes the replayed step
+/// zero-filled).
 struct ProgramAudit {
   std::string model;
   std::string scenario;
@@ -108,6 +109,7 @@ struct ProgramAudit {
   int spmm_plans = 0;
   int64_t arena_reserved_bytes = 0;
   int64_t arena_peak_bytes = 0;
+  int64_t arena_zeroed_bytes = 0;
   /// DescribeGroups() text — one fusion group per line.
   std::string groups;
   std::vector<Finding> findings;

@@ -499,6 +499,55 @@ TEST(GraphProgramTest, RealModelReplayIsBitwiseEagerAndAllocationFree) {
   EXPECT_LE(final_stats.arena_peak_bytes, final_stats.arena_reserved_bytes);
 }
 
+/// Parameter grads must outlive the step, so they never borrow the replay
+/// arena — not even a parameter whose grad is still empty when a replayed
+/// step first reaches it (gradients built in backward closures come from
+/// the arena, and an empty non-leaf grad adopts them).
+TEST(GraphProgramTest, ParameterGradsStayHeapOwnedUnderReplay) {
+  Rng rng(31);
+  const Matrix x = RandomMatrix(6, 4, &rng);
+  // A fresh parameter set per step: the replayed step's parameters start
+  // with empty grads, fed by both the rvalue (MatMul backward) and the
+  // lvalue (Add backward) accumulation paths.
+  auto step = [&](ag::Tensor* w, ag::Tensor* b) {
+    *w = ag::Tensor(RandomMatrix(4, 3, &rng), /*requires_grad=*/true);
+    *b = ag::Tensor(RandomMatrix(6, 3, &rng), /*requires_grad=*/true);
+    ag::Tensor y = ag::Add(ag::MatMul(ag::Tensor(x), *w), *b);
+    ag::Backward(ag::Sum(ag::Hadamard(y, y)));
+  };
+  prog::GraphProgram program;
+  ag::Tensor w, b;
+  {
+    prog::GraphProgram::RecordScope record(&program);
+    step(&w, &b);
+  }
+  ASSERT_TRUE(program.usable());
+  {
+    prog::GraphProgram::ReplayScope replay(&program);
+    step(&w, &b);
+    EXPECT_TRUE(replay.replayed());
+  }
+  for (const ag::Tensor* p : {&w, &b}) {
+    ASSERT_FALSE(p->grad().empty());
+    EXPECT_FALSE(p->grad().arena_backed());
+  }
+
+  // The same on a real model, over several replayed steps.
+  NmcdrConfig model_config;
+  model_config.hidden_dim = 8;
+  model_config.mlp_hidden = {16};
+  auto data = testing_util::TinyData();
+  NmcdrModel model(data->View(), model_config, /*seed=*/3, 1e-3f);
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 64;
+  Trainer trainer(data->View(), config);
+  trainer.Train(&model);
+  for (const ag::Tensor& p : model.params()->params()) {
+    EXPECT_FALSE(p.grad().arena_backed()) << p.raw()->name;
+  }
+}
+
 /// The trainer honors TrainConfig::fusion: a fused run and an eager run of
 /// the same model land on the bit-identical final loss.
 TEST(GraphProgramTest, TrainerFusionToggleIsBitwiseNeutral) {

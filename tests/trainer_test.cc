@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 
 #include "core/nmcdr_model.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "tensor/backend.h"
 #include "tests/test_util.h"
+#include "train/registry.h"
 #include "util/thread_pool.h"
 
 namespace nmcdr {
@@ -156,6 +162,53 @@ TEST(TrainerTest, DefaultTrainingForksNothing) {
   const int64_t before = pool->tasks_executed();
   trainer.Train(&model);
   EXPECT_EQ(pool->tasks_executed(), before);
+}
+
+/// The replayed step hands kernels unfilled arena storage for every output
+/// they fully overwrite. In NMCDR_DEBUG_CHECKS builds that storage is
+/// NaN-poisoned when handed out, so a kernel reading an element before
+/// writing it would turn the fused loss into NaN or at least move it. NMCDR
+/// and MiNet (the two NeighborAttention users) must land on the same final
+/// loss bit for bit fused (arena replay), eager, and fused on the serial
+/// reference backend.
+TEST(TrainerTest, WriteOnceReplayMatchesEagerAndSerial) {
+  RegisterAllModels();
+  for (const char* name : {"NMCDR", "MiNet"}) {
+    SCOPED_TRACE(name);
+    auto run = [&](bool fusion, const KernelBackend* backend,
+                   double* replay_steps) {
+      const BackendGuard guard(backend);
+      const obs::MetricsEnabledGuard metrics(true);
+      auto data = TinyData();
+      CommonHyper hyper;
+      hyper.embed_dim = 8;
+      hyper.mlp_hidden = {16};
+      std::unique_ptr<RecModel> model =
+          ModelRegistry::Instance().Get(name)(data->View(), hyper, 1e-3f);
+      TrainConfig config;
+      config.epochs = 2;
+      config.batch_size = 64;
+      config.fusion = fusion;
+      Trainer trainer(data->View(), config);
+      const float loss = trainer.Train(model.get()).final_loss;
+      if (replay_steps != nullptr) {
+        *replay_steps = obs::MetricsRegistry::Global()
+                            .GetGauge("program.replay_steps")
+                            .Value();
+      }
+      return loss;
+    };
+    double replay_steps = 0.0;
+    const float fused = run(/*fusion=*/true, nullptr, &replay_steps);
+    EXPECT_GT(replay_steps, 0.0);  // the arena path really ran
+    EXPECT_FALSE(std::isnan(fused));
+    const float eager = run(/*fusion=*/false, nullptr, nullptr);
+    const float serial = run(/*fusion=*/true, &SerialKernelBackend(), nullptr);
+    EXPECT_EQ(0, std::memcmp(&fused, &eager, sizeof(float)))
+        << fused << " vs " << eager;
+    EXPECT_EQ(0, std::memcmp(&fused, &serial, sizeof(float)))
+        << fused << " vs " << serial;
+  }
 }
 
 TEST(TrainerTest, BatchesHaveConfiguredNegativeRatio) {

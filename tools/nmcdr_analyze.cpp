@@ -22,7 +22,8 @@
 //                training step, replay a second, and require the compiled
 //                program to match an eager twin bitwise (losses) and
 //                structurally (op counts / output elements); reports
-//                fusion groups and arena reserved/peak bytes
+//                fusion groups and arena reserved/peak bytes plus the
+//                bytes the replayed step zero-filled
 //   --no-fusion  skip the program audit even with --programs (also
 //                honored via NMCDR_FUSION=0 in the environment)
 //   --snapshot   validate a frozen NMCDRSV1 snapshot file's scoring chain
