@@ -236,6 +236,11 @@ void TiledGemm(ThreadPool* pool, int64_t rows, int64_t cols, int64_t k,
 
 // ---------------------------------------------------------------------------
 // SerialBackend: the range kernels over the full range on the caller.
+//
+// A kernel that writes every output element allocates its output with
+// Matrix::ForOverwrite (unfilled inside the replay arena); one that adds
+// into its output (the p-outer TransA loop, ColSum) keeps the zero-filled
+// constructor. The other backends follow the same rule.
 // ---------------------------------------------------------------------------
 
 void SerialBackend::MatMulAccumInto(const Matrix& a, const Matrix& b,
