@@ -1,23 +1,16 @@
-// Dense-kernel micro-benchmark for the execution backends
-// (src/tensor/backend.h): serial GFLOP/s, vector-backend GFLOP/s for the
-// register-blocked GEMM family, and parallel thread-scaling at 1/2/4
-// threads for the hot KernelBackend entry points on training-shaped
+// Dense-kernel micro-benchmark for the kernel backends
+// (src/tensor/backend.h): serial and vector GFLOP/s for the GEMM family
+// behind the KernelBackend seam, and GFLOP/s for the kernels with one
+// implementation (the replay path's fused epilogue, elementwise,
+// activation, reduction and gather/scatter kernels), on training-shaped
 // matrices (batch x hidden blocks as the trainer sees them). Before
-// timing, every kernel's vector and parallel outputs are checked
-// bit-equal to the serial reference, so the numbers can never come from
-// a divergent code path.
-//
-// Speedup columns report thread scaling of the parallel backend itself
-// (parallel@1 / parallel@t seconds), so they isolate the tile-sharding
-// win from the vectorization win that `vector_gflops` already captures.
-// With >= 4 free cores, a kernel whose 4-thread scaling falls below the
-// floor (0.9 full, 0.7 smoke — the looser smoke floor absorbs the short
-// timing budget's noise) fails the run: that is the regression gate that
-// caught ScatterAddRows scattering slower in parallel than inline.
+// timing, every GEMM's vector output is checked bit-equal to the serial
+// reference, and the fused epilogue bit-equal to the serial eager
+// sequence it replaces, so the numbers can never come from a divergent
+// code path; any mismatch fails the run.
 //
 // Writes BENCH_kernels.json next to the binary so the perf trajectory has a
-// machine-readable baseline; the file records hardware_concurrency because
-// speedups are only meaningful with as many cores as pool threads.
+// machine-readable baseline; scripts/check_bench_regression.py gates it.
 //
 // `--smoke` shrinks the timing budget so the binary doubles as a CTest.
 #include <cstdio>
@@ -28,37 +21,38 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.h"
 #include "tensor/backend.h"
 #include "tensor/matrix.h"
+#include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
+#include "tensor/vector_kernels.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
 
-/// Thread counts the parallel backend is measured at.
-const int kThreadCounts[] = {1, 2, 4};
-
-/// One benchmarked kernel: `run` executes it once under a backend and
-/// returns the result for the bit-equality check. `vectorized` marks the
-/// GEMM-family kernels the vector backend reimplements (the rest delegate
-/// to serial, so timing them under it would just measure serial twice).
+/// One benchmarked kernel: `run` executes it once and returns the result
+/// for the bit-equality check. For the KernelBackend GEMMs (`vectorized`)
+/// it runs under the backend it is handed, timed under serial and vector;
+/// every other kernel has one implementation and ignores the argument. A
+/// non-null `reference` is the serial eager sequence a single
+/// implementation must match bit for bit.
 struct KernelCase {
   std::string name;
   std::string shape;
   double flops = 0.0;  // nominal flops per run, for the GFLOP/s column
   bool vectorized = false;
   std::function<Matrix(const KernelBackend&)> run;
+  std::function<Matrix()> reference;
 };
 
 struct KernelResult {
   std::string name;
   std::string shape;
   double serial_gflops = 0.0;
-  double vector_gflops = 0.0;   // 0 when the kernel is not vectorized
-  std::vector<double> speedup;  // parallel@1 / parallel@t, t in kThreadCounts
+  double vector_gflops = 0.0;  // 0 when the kernel is not vectorized
 };
 
 Matrix RandomMatrix(int rows, int cols, Rng* rng) {
@@ -86,48 +80,31 @@ bool BitEqual(const Matrix& a, const Matrix& b) {
                                        sizeof(float) * a.size()) == 0);
 }
 
-/// Measures one kernel under the serial, vector, and parallel backends;
-/// dies loudly if any non-serial result diverges from the reference.
+/// Measures one kernel (under the serial and vector backends for the
+/// GEMMs); flags a divergence from the serial reference.
 KernelResult MeasureKernel(const KernelCase& kernel, double min_seconds,
                            bool* equivalence_ok) {
   const SerialBackend& serial = SerialKernelBackend();
+  const VectorBackend& vector = VectorKernelBackend();
   KernelResult result;
   result.name = kernel.name;
   result.shape = kernel.shape;
-  const Matrix want = kernel.run(serial);
-  const double serial_seconds =
-      SecondsPerRun(kernel.run, serial, min_seconds);
-  result.serial_gflops = kernel.flops / serial_seconds * 1e-9;
-
-  const VectorBackend& vector = VectorKernelBackend();
-  if (!BitEqual(want, kernel.run(vector))) {
-    std::fprintf(stderr, "FAIL: %s diverges under the vector backend\n",
+  const Matrix got = kernel.run(serial);
+  if (kernel.reference && !BitEqual(kernel.reference(), got)) {
+    std::fprintf(stderr, "FAIL: %s diverges from the eager sequence\n",
                  kernel.name.c_str());
     *equivalence_ok = false;
   }
+  result.serial_gflops =
+      kernel.flops / SecondsPerRun(kernel.run, serial, min_seconds) * 1e-9;
   if (kernel.vectorized) {
-    const double vector_seconds =
-        SecondsPerRun(kernel.run, vector, min_seconds);
-    result.vector_gflops = kernel.flops / vector_seconds * 1e-9;
-  }
-
-  // Thread scaling: time the parallel backend at every count and report
-  // each relative to its own 1-thread time, so the column measures the
-  // tile sharding alone (its kernels already run the vector cores).
-  std::vector<double> parallel_seconds;
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const ParallelBackend parallel(&pool);
-    if (!BitEqual(want, kernel.run(parallel))) {
-      std::fprintf(stderr, "FAIL: %s diverges at %d threads\n",
-                   kernel.name.c_str(), threads);
+    if (!BitEqual(got, kernel.run(vector))) {
+      std::fprintf(stderr, "FAIL: %s diverges under the vector backend\n",
+                   kernel.name.c_str());
       *equivalence_ok = false;
     }
-    parallel_seconds.push_back(
-        SecondsPerRun(kernel.run, parallel, min_seconds));
-  }
-  for (double seconds : parallel_seconds) {
-    result.speedup.push_back(parallel_seconds.front() / seconds);
+    result.vector_gflops =
+        kernel.flops / SecondsPerRun(kernel.run, vector, min_seconds) * 1e-9;
   }
   return result;
 }
@@ -168,54 +145,65 @@ std::vector<KernelCase> BuildKernelCases(std::vector<Matrix>* store,
                      Matrix out(act.rows(), w.cols());
                      b.MatMulAccumInto(act, w, &out);
                      return out;
-                   }});
+                   },
+                   nullptr});
   cases.push_back({"MatMulTransA", bxh + "^T * " + bxh, gemm_flops, true,
                    [&act, &act2](const KernelBackend& b) {
                      return b.MatMulTransA(act, act2);
-                   }});
+                   },
+                   nullptr});
   cases.push_back({"MatMulTransB", gemm_shape + "^T", gemm_flops, true,
                    [&act, &w](const KernelBackend& b) {
                      return b.MatMulTransB(act, w);
-                   }});
+                   },
+                   nullptr});
   // The graph-program replay epilogue: GEMM + bias + relu in one pass, the
-  // shape every fused forward layer takes. Exercises the vector epilogue's
-  // bit-exactness against serial on every run.
+  // shape every fused forward layer takes, checked against the serial
+  // eager sequence it replaces on every run.
   cases.push_back({"FusedMatMulBiasAct", gemm_shape + " +b relu",
-                   gemm_flops + 2.0 * batch * hidden, true,
-                   [&act, &w, &bias](const KernelBackend& b) {
-                     Matrix out(act.rows(), w.cols());
-                     b.FusedMatMulBiasActInto(act, w, &bias, FusedAct::kRelu,
-                                              &out);
+                   gemm_flops + 2.0 * batch * hidden, false,
+                   [&act, &w, &bias](const KernelBackend&) {
+                     Matrix out = Matrix::ForOverwrite(act.rows(), w.cols());
+                     VectorFusedMatMul(act, w, &bias, FusedAct::kRelu, &out);
                      return out;
+                   },
+                   [&act, &w, &bias] {
+                     Matrix out(act.rows(), w.cols());
+                     SerialKernelBackend().MatMulAccumInto(act, w, &out);
+                     return Relu(AddRowBroadcast(out, bias));
                    }});
   cases.push_back({"Add", bxh, ew_flops, false,
-                   [&act, &act2](const KernelBackend& b) {
-                     return b.Add(act, act2);
-                   }});
+                   [&act, &act2](const KernelBackend&) {
+                     return Add(act, act2);
+                   },
+                   nullptr});
   cases.push_back({"Sigmoid", bxh, 4.0 * batch * hidden, false,
-                   [&act](const KernelBackend& b) { return b.Sigmoid(act); }});
+                   [&act](const KernelBackend&) { return Sigmoid(act); },
+                   nullptr});
   cases.push_back({"SoftmaxRows", bxh, 5.0 * batch * hidden, false,
-                   [&act](const KernelBackend& b) {
-                     return b.SoftmaxRows(act);
-                   }});
+                   [&act](const KernelBackend&) { return SoftmaxRows(act); },
+                   nullptr});
   cases.push_back({"ColSum", bxh, ew_flops, false,
-                   [&act](const KernelBackend& b) { return b.ColSum(act); }});
+                   [&act](const KernelBackend&) { return ColSum(act); },
+                   nullptr});
   cases.push_back({"GatherRows",
                    std::to_string(table.rows()) + "x" +
                        std::to_string(hidden) + " [" +
                        std::to_string(batch) + " ids]",
                    ew_flops, false,
-                   [&table, &id_ref](const KernelBackend& b) {
-                     return b.GatherRows(table, id_ref);
-                   }});
+                   [&table, &id_ref](const KernelBackend&) {
+                     return GatherRows(table, id_ref);
+                   },
+                   nullptr});
   cases.push_back({"ScatterAddRows",
                    bxh + " -> " + std::to_string(table.rows()) + " rows",
                    ew_flops, false,
-                   [&act, &table, &id_ref](const KernelBackend& b) {
+                   [&act, &table, &id_ref](const KernelBackend&) {
                      Matrix out(table.rows(), table.cols());
-                     b.ScatterAddRows(act, id_ref, &out);
+                     ScatterAddRows(act, id_ref, &out);
                      return out;
-                   }});
+                   },
+                   nullptr});
   return cases;
 }
 
@@ -230,7 +218,6 @@ void WriteJson(const std::string& path,
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  out << "  \"thread_counts\": [1, 2, 4],\n";
   out << "  \"kernels\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
@@ -239,13 +226,7 @@ void WriteJson(const std::string& path,
     if (r.vector_gflops > 0.0) {
       out << ", \"vector_gflops\": " << FormatFloat(r.vector_gflops, 4);
     }
-    out << ", \"speedup\": {";
-    for (size_t t = 0; t < r.speedup.size(); ++t) {
-      out << "\"" << kThreadCounts[t]
-          << "\": " << FormatFloat(r.speedup[t], 3)
-          << (t + 1 < r.speedup.size() ? ", " : "");
-    }
-    out << "}}" << (i + 1 < results.size() ? "," : "") << "\n";
+    out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
@@ -255,6 +236,9 @@ int Run(bool smoke) {
   std::printf("bench_kernels (%s, hardware_concurrency=%u)\n",
               smoke ? "smoke" : "full", std::thread::hardware_concurrency());
   const double min_seconds = smoke ? 0.01 : 0.25;
+  // The dispatchers' kernel probes are metrics: off, the timings are the
+  // kernels alone.
+  const obs::MetricsEnabledGuard metrics(false);
 
   std::vector<Matrix> store;
   std::vector<int> ids;
@@ -267,39 +251,18 @@ int Run(bool smoke) {
   }
 
   TablePrinter table;
-  table.SetHeader({"Kernel", "Shape", "Serial GFLOP/s", "Vector GFLOP/s",
-                   "x1", "x2", "x4"});
+  table.SetHeader({"Kernel", "Shape", "Serial GFLOP/s", "Vector GFLOP/s"});
   for (const KernelResult& r : results) {
     table.AddRow({r.name, r.shape, FormatFloat(r.serial_gflops, 3),
                   r.vector_gflops > 0.0 ? FormatFloat(r.vector_gflops, 3)
-                                        : std::string("-"),
-                  FormatFloat(r.speedup[0], 2) + "x",
-                  FormatFloat(r.speedup[1], 2) + "x",
-                  FormatFloat(r.speedup[2], 2) + "x"});
+                                        : std::string("-")});
   }
   std::printf("%s", table.ToString().c_str());
 
   WriteJson("BENCH_kernels.json", results, smoke);
-
-  // With enough free cores for the 4-thread pool, thread scaling below the
-  // floor is a real regression (a kernel whose parallel path is slower
-  // than its own 1-thread run), not noise — fail the run so CI gates it.
-  bool scaling_ok = true;
-  if (std::thread::hardware_concurrency() >= 4) {
-    const double floor = smoke ? 0.7 : 0.9;
-    for (const KernelResult& r : results) {
-      const double x4 = r.speedup.back();
-      if (x4 < floor) {
-        std::fprintf(stderr,
-                     "FAIL: %s 4-thread scaling %.2fx below the %.1fx floor\n",
-                     r.name.c_str(), x4, floor);
-        scaling_ok = false;
-      }
-    }
-  }
-  // The speedup columns depend on free cores, but a vector or parallel
-  // result that differs from serial is always a hard failure.
-  return equivalence_ok && scaling_ok ? 0 : 1;
+  // Throughput is gated against the baseline by the script; a result that
+  // differs from the serial reference is always a hard failure.
+  return equivalence_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -11,7 +11,12 @@
 //
 // Writes BENCH_trainer.json next to the binary; the `trainer[]` entries
 // carry `fused_speedup`, which scripts/check_bench_regression.py gates
-// against bench/baselines/trainer_baseline.json (higher is better).
+// against bench/baselines/trainer_baseline.json (higher is better). Both
+// twins run with the serial reference backend pinned, but the replay
+// calls the vector GEMM cores under any backend while the eager twin runs
+// the serial loops, so the ratio measures replay's vector GEMMs plus
+// fusion against the serial eager step; fusion alone, on the default
+// backend, is bench/e2e's program.{eager,fused}_step_ms.
 //
 // `--smoke` shrinks the step counts so the binary doubles as a CTest.
 // NMCDR_FUSION=0 is intentionally ignored here (the whole point is to
@@ -36,7 +41,6 @@
 #include "train/registry.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
@@ -224,9 +228,8 @@ int Run(bool smoke) {
               BenchScaleName(scale).c_str(),
               std::thread::hardware_concurrency());
   RegisterAllModels();
-  // Timing runs single-threaded: the fused-vs-eager ratio is the quantity
-  // under test, and the serial backend removes pool scheduling noise.
-  BackendGuard backend(BackendForThreads(1));
+  // The eager twin runs the serial reference loops (see the header).
+  BackendGuard backend(&SerialKernelBackend());
 
   const int steps_per_epoch = smoke ? 30 : 200;
   const int epochs = smoke ? 2 : 3;

@@ -7,15 +7,14 @@ Usage: check_bench_regression.py CURRENT BASELINE [--tolerance 0.25]
 Four document kinds are auto-detected:
 
 * Kernel throughput (BENCH_kernels.json, `kernels[]` entries): per-kernel
-  gate on `serial_gflops` and, for the GEMM family, `vector_gflops`
-  (reported as `Name[vector]`) — the run FAILS when any entry drops below
-  `baseline * (1 - tolerance)`. Higher is better. On top of the baseline
-  trajectory, two machine-relative absolute floors gate within the
-  current run alone (no baseline needed, so they hold on any hardware):
-  the vector MatMul must stay >= 3x its own serial GFLOP/s, and — when
-  the run had >= 4 cores — every kernel's 4-thread scaling must stay
-  above 0.9 (0.7 smoke) with MatMul above 1.5 (1.2 smoke), the
-  tile-sharding floor.
+  gate on `serial_gflops` (the one implementation of a kernel outside
+  the KernelBackend seam, such as the fused epilogue) and, for the GEMM
+  family, `vector_gflops` (reported as `Name[vector]`) — the run FAILS
+  when any entry drops below `baseline * (1 - tolerance)`. Higher is
+  better. On top of the baseline trajectory, one machine-relative
+  absolute floor gates within the current run alone (no baseline
+  needed, so it holds on any hardware): the vector MatMul must stay
+  >= 3x its own serial GFLOP/s.
 * Trainer fusion speedup (BENCH_trainer.json, `trainer[]` entries): per-run
   gate on `fused_speedup` (fused epoch time vs eager epoch time) — the run
   FAILS when the ratio drops below `baseline * (1 - tolerance)`. Higher is
@@ -64,10 +63,9 @@ the real vectorization gate. Keep the damping when regenerating.)
 `--self-test` verifies the gate itself trips in every mode: a baseline
 inflated 2x above a throughput run must fail, a latency run inflated 2x
 above its baseline must fail, degraded quantized overlap must fail both
-the baseline and the absolute gate, broken thread scaling must trip the
-absolute kernel floors (and be ignored on single-core runs), and
-identical pairs must pass. CI runs this before the real comparisons so a
-parsing bug can't silently turn the gate green.
+the baseline and the absolute gate, a vector MatMul under 3x serial must
+trip the kernel floor, and identical pairs must pass. CI runs this before
+the real comparisons so a parsing bug can't silently turn the gate green.
 
 Exit codes: 0 pass, 1 regression (or self-test failure), 2 usage/IO error.
 """
@@ -172,7 +170,6 @@ def compare_latency(current, baseline, tolerance, slack_ms):
 # Machine-relative floors applied to the CURRENT doc alone (no baseline):
 # a drifting or regenerated baseline can never relax these.
 VECTOR_MATMUL_MIN_RATIO = 3.0
-SCALING_FLOORS = {"full": (0.9, 1.5), "smoke": (0.7, 1.2)}
 QUANT_FLOORS = {"full": (0.99, 0.98), "smoke": (0.95, 0.90)}
 
 
@@ -183,8 +180,6 @@ def absolute_floors(kind, doc):
     smoke = bool(doc.get("smoke", False))
     budget = "smoke" if smoke else "full"
     if kind == "kernels":
-        cores = int(doc.get("hardware_concurrency", 0))
-        any_floor, matmul_floor = SCALING_FLOORS[budget]
         for entry in doc.get("kernels", []):
             name = entry["name"]
             serial = float(entry["serial_gflops"])
@@ -196,18 +191,6 @@ def absolute_floors(kind, doc):
                              f"serial (floor {VECTOR_MATMUL_MIN_RATIO:.1f}x)")
                 if ratio < VECTOR_MATMUL_MIN_RATIO:
                     failures.append(f"{name}[vector]/serial")
-            if cores < 4:
-                continue  # scaling floors need as many cores as threads
-            x4 = float(entry.get("speedup", {}).get("4", 0.0))
-            floor = matmul_floor if name == "MatMul" else any_floor
-            verdict = "ok" if x4 >= floor else "BELOW FLOOR"
-            lines.append(f"  {verdict:11s} {name}@4t {x4:5.2f}x "
-                         f"(floor {floor:.1f}x, {budget})")
-            if x4 < floor:
-                failures.append(f"{name}@4t")
-        if cores < 4:
-            lines.append(f"  (thread-scaling floors skipped: "
-                         f"{cores} core(s) < 4)")
     elif kind == "quant":
         floor10, floor50 = QUANT_FLOORS[budget]
         quant = doc.get("quant", {})
@@ -328,35 +311,17 @@ def self_test(tolerance, slack_ms):
               f"({failures})")
         return 1
 
-    # Kernel absolute floors: thread scaling gated only with >= 4 cores,
-    # the vector >= 3x ratio gated everywhere.
-    kdoc = {"smoke": False, "hardware_concurrency": 8, "kernels": [
-        {"name": "MatMul", "serial_gflops": 3.0, "vector_gflops": 12.0,
-         "speedup": {"1": 1.0, "2": 1.5, "4": 2.0}},
-        {"name": "ScatterAddRows", "serial_gflops": 0.3,
-         "speedup": {"1": 1.0, "2": 0.9, "4": 0.5}},
+    # Kernel absolute floor: the vector MatMul >= 3x its serial GFLOP/s.
+    kdoc = {"smoke": False, "kernels": [
+        {"name": "MatMul", "serial_gflops": 3.0, "vector_gflops": 12.0},
+        {"name": "ScatterAddRows", "serial_gflops": 0.3},
     ]}
     failures, _ = absolute_floors("kernels", kdoc)
-    if failures != ["ScatterAddRows@4t"]:
-        print("self-test FAILED: sub-0.9x 4-thread scaling not caught "
-              f"(failures={failures})")
-        return 1
-    kdoc["kernels"][1]["speedup"]["4"] = 1.0
-    kdoc["kernels"][0]["speedup"]["4"] = 1.3  # below the 1.5x MatMul floor
-    failures, _ = absolute_floors("kernels", kdoc)
-    if failures != ["MatMul@4t"]:
-        print("self-test FAILED: MatMul below the 1.5x tile floor not caught "
-              f"(failures={failures})")
-        return 1
-    kdoc["hardware_concurrency"] = 1
-    failures, _ = absolute_floors("kernels", kdoc)
     if failures:
-        print("self-test FAILED: scaling floors applied on a 1-core run "
-              f"({failures})")
+        print(f"self-test FAILED: passing kernel doc hit floors ({failures})")
         return 1
-    slow_vector = {"smoke": True, "hardware_concurrency": 1, "kernels": [
-        {"name": "MatMul", "serial_gflops": 3.0, "vector_gflops": 6.0,
-         "speedup": {"1": 1.0, "2": 1.0, "4": 1.0}}]}
+    slow_vector = {"smoke": True, "kernels": [
+        {"name": "MatMul", "serial_gflops": 3.0, "vector_gflops": 6.0}]}
     failures, _ = absolute_floors("kernels", slow_vector)
     if failures != ["MatMul[vector]/serial"]:
         print("self-test FAILED: vector MatMul below 3x serial not caught "

@@ -31,9 +31,8 @@ SCALE="${1:-small}"
 export NMCDR_BENCH_SCALE="$SCALE"
 
 # The concurrent-surface test subset (mirrors the CI tsan-serving job).
-# program_test / trainer_test exercise the fused graph-program replay —
-# fusion is default-on, so with the parallel backend pinned (run_subset)
-# the sanitizers see the fused kernels sharded across the 4-thread pool.
+# program_test / trainer_test exercise the fused graph-program replay
+# (fusion is default-on) next to the pool-backed tests.
 SANITIZER_SUBSET=(serving_engine_test serving_test thread_pool_test
   backend_equivalence_test integration_test obs_test program_test
   trainer_test)
@@ -68,13 +67,13 @@ sanitizer_available() {
 }
 
 run_subset() {
-  # NMCDR_BACKEND=parallel over NMCDR_THREADS=4 makes the kernels (inline
-  # on the one-thread vector default), the observability shards, and the
-  # pool-backed serving path actually run sharded under the sanitizer.
+  # NMCDR_THREADS=4 gives the shared pool four workers, so the
+  # observability shards and the pool-backed serving path run concurrently
+  # under the sanitizer.
   local tree="$1"
   local t
   for t in "${SANITIZER_SUBSET[@]}"; do
-    NMCDR_BACKEND=parallel NMCDR_THREADS=4 "./$tree/tests/$t"
+    NMCDR_THREADS=4 "./$tree/tests/$t"
   done
 }
 

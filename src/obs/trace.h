@@ -140,7 +140,7 @@ class OpScope {
 // KernelScope — backend dispatcher call counts, FLOPs, wall time
 // ---------------------------------------------------------------------------
 
-/// One slot per KernelBackend entry point (tensor/backend.h) plus the CSR
+/// One slot per tensor/matrix_ops.h kernel dispatcher plus the CSR
 /// products. Fixed enum -> fixed array: the dispatcher hot path indexes,
 /// never hashes.
 enum class Kernel : int {
@@ -171,8 +171,8 @@ enum class Kernel : int {
   kConcatCols,
   kSpMM,
   kSpMMTransposed,
-  // Graph-program replay kernels (src/program dispatches these directly on
-  // the backend; the scopes live at those call sites).
+  // Graph-program replay kernels (src/program calls these cores directly,
+  // under either backend; the scopes live at those call sites).
   kFusedMatMulBiasAct,
   kFusedEltwise,
   kPlannedMatMulTransA,

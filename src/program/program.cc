@@ -8,6 +8,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/backend.h"
+#include "tensor/fused_kernels.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/vector_kernels.h"
 #include "util/check.h"
@@ -350,9 +352,9 @@ void GraphProgram::CompileGroups() {
         ++cur;
       }
       // A bare MatMul (size 1) still forms a group: materialization routes
-      // it through the planned GEMM kernels (forward FusedMatMulBiasActInto
-      // with no epilogue, backward PlannedMatMulTrans{A,B}), which are
-      // bit-exact with the eager kernels but register-blocked.
+      // it through the vector GEMM cores (forward VectorFusedMatMul
+      // with no epilogue, backward the vector TransA/TransB), which are
+      // bit-exact with the eager kernels under either backend.
       const int gidx = static_cast<int>(groups_.size());
       for (int m = 0; m < g.size; ++m) {
         instrs_[g.first_pc + m].group = gidx;
@@ -634,7 +636,6 @@ bool GraphProgram::ContinueGroup(ag::OpKind kind, const ag::Tensor* const* in,
 
 void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
   const FusionGroup& g = groups_[run_.group];
-  const KernelBackend& backend = CurrentBackend();
   NMCDR_DCHECK_GE(upto, 1);
 
   if (g.kind == FusionGroup::Kind::kMatMulEpilogue) {
@@ -653,9 +654,8 @@ void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
       // here.
       const obs::KernelScope scope(obs::Kernel::kFusedMatMulBiasAct,
                                    2ll * a.rows() * a.cols() * b.cols());
-      backend.FusedMatMulBiasActInto(a.value(), b.value(),
-                                     with_bias ? &bias.value() : nullptr, act,
-                                     &value);
+      VectorFusedMatMul(a.value(), b.value(),
+                        with_bias ? &bias.value() : nullptr, act, &value);
     }
 
     if (!target->defined()) {
@@ -697,20 +697,20 @@ void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
         norm_bias = NormalizeLinkGrad(*cur);
         cur = &norm_bias;
       }
-      // Planned (register-blocked) GEMMs: bit-exact with the eager
-      // k::MatMulTransB / k::MatMulTransA calls, faster on the replay path.
-      const KernelBackend& backend = CurrentBackend();
+      // The vector TransB / TransA cores under any backend: bit-exact
+      // with the eager k::MatMulTransB / k::MatMulTransA calls.
+      const VectorBackend& vector = VectorKernelBackend();
       {
         const obs::KernelScope scope(
             obs::Kernel::kPlannedMatMulTransB,
             2ll * cur->rows() * cur->cols() * b.value().rows());
-        a.raw()->AccumulateGrad(backend.PlannedMatMulTransB(*cur, b.value()));
+        a.raw()->AccumulateGrad(vector.MatMulTransB(*cur, b.value()));
       }
       {
         const obs::KernelScope scope(
             obs::Kernel::kPlannedMatMulTransA,
             2ll * a.value().rows() * a.value().cols() * cur->cols());
-        b.raw()->AccumulateGrad(backend.PlannedMatMulTransA(a.value(), *cur));
+        b.raw()->AccumulateGrad(vector.MatMulTransA(a.value(), *cur));
       }
     };
     return;
@@ -779,8 +779,7 @@ void GraphProgram::MaterializeGroup(int upto, ag::Tensor* target) {
     const obs::KernelScope scope(
         obs::Kernel::kFusedEltwise,
         static_cast<int64_t>(seed.value().size()) * upto);
-    backend.FusedEltwiseInto(seed.value(), eltwise_scratch_.data(), upto,
-                             &value);
+    FusedEltwiseInto(seed.value(), eltwise_scratch_.data(), upto, &value);
   }
 
   if (!target->defined()) {

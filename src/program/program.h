@@ -10,7 +10,7 @@
 #include "autograd/op_stream.h"
 #include "autograd/tensor.h"
 #include "tensor/arena.h"
-#include "tensor/backend.h"
+#include "tensor/fused_kernels.h"
 #include "util/thread_annotations.h"
 
 namespace nmcdr {

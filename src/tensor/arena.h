@@ -22,9 +22,8 @@ namespace nmcdr {
 /// outside any scope or copied — Matrix copy construction/assignment
 /// always produces owning heap storage for exactly this reason.
 ///
-/// Not thread-safe: one arena belongs to one training thread. Kernel
-/// worker threads never allocate matrices (outputs are constructed on the
-/// calling thread before ParallelFor), so a thread-local scope suffices.
+/// Not thread-safe: one arena belongs to one training thread. Training
+/// kernels run on that thread, so a thread-local scope suffices.
 class BumpArena {
  public:
   BumpArena() = default;

@@ -3,51 +3,55 @@
 
 #include <cstdint>
 
-#include "tensor/backend.h"  // FusedAct, EltwiseStep
 #include "tensor/matrix.h"
+#include "util/thread_annotations.h"
 
-// Range cores for the graph-program replay path (fused epilogues, fused
-// eltwise chains, planned register-blocked GEMMs). Declared here so both
-// backends (backend.cc) can shard them; defined in fused_kernels.cc, a
-// separate translation unit compiled at a higher optimization level — see
-// the note in src/tensor/CMakeLists.txt for why that is bitwise-safe.
-//
-// Every core is bit-exact with the eager op sequence it replaces: per
-// output element it performs the same IEEE operations in the same order;
-// only the iteration and storage of independent elements differ.
+// The fused ops of the graph-program replay path (src/program): the
+// activation a fused matmul epilogue applies (its kernel is
+// VectorFusedMatMul, tensor/vector_kernels.h) and the elementwise
+// chain, whose loop is defined in fused_kernels.cc — a translation unit
+// compiled at a higher optimization level; see the note in
+// src/tensor/CMakeLists.txt for why that is bitwise-safe.
 
 namespace nmcdr {
 
-/// C += A * B for output rows [r0, r1), column-tiled with register
-/// accumulators; per element identical to MatMulAccumRows.
-void PlannedMatMulAccumRows(const Matrix& a, const Matrix& b, Matrix* out,
-                            int64_t r0, int64_t r1);
+/// Activation folded into the fused matmul epilogue (kNone = bias only).
+enum class FusedAct : uint8_t { kNone, kRelu, kSigmoid, kTanh };
 
-/// Output rows [r0, r1) of A^T * B into a zero-initialized `out`; per
-/// element identical to MatMulTransARows.
-void PlannedMatMulTransARows(const Matrix& a, const Matrix& b, Matrix* out,
-                             int64_t r0, int64_t r1);
+/// One step of a fused elementwise chain, interpreted per element by
+/// FusedEltwiseInto. The graph-program compiler lowers a run of eager
+/// elementwise ops into a step list; each step transforms the running
+/// value `cur` (seeded from the chain's primary input) with the exact
+/// scalar expression of the eager kernel it replaces, so the fused loop is
+/// bit-identical to the op-by-op sequence.
+enum class EltwiseOp : uint8_t {
+  kAddMat,     // cur + side[i]
+  kSubMat,     // cur - side[i], or side[i] - cur when rhs is set
+  kMulMat,     // cur * side[i]           (Hadamard)
+  kScale,      // scalar * cur
+  kAddScalar,  // cur + scalar
+  kOneMinus,   // 1 - cur
+  kSoftplus,   // softplus(cur)
+  kRelu,       // relu(cur)
+  kSigmoid,    // sigmoid(cur)
+  kTanh,       // tanh(cur)
+  kExp,        // exp(cur)
+};
 
-/// Output rows [r0, r1) of A * B^T where `bt` is B already transposed
-/// (bt(p, j) = b(j, p)); per element the same double dot in ascending p as
-/// MatMulTransBRows.
-void PlannedMatMulTransBRows(const Matrix& a, const Matrix& bt, Matrix* out,
-                             int64_t r0, int64_t r1);
+struct EltwiseStep {
+  EltwiseOp op = EltwiseOp::kAddMat;
+  /// kSubMat orientation: the chain value is the subtrahend (side - cur).
+  bool rhs = false;
+  /// kScale / kAddScalar operand.
+  float scalar = 0.f;
+  /// kAddMat / kSubMat / kMulMat operand, same element count as the output.
+  const float* side = nullptr;
+};
 
-/// Rows [r0, r1): zero the rows, accumulate a*b as MatMulAccumRows, then
-/// apply the bias-add and activation in place. Per element this computes
-/// act(matmul + bias) with the same float sequence as the separate
-/// MatMul / AddRowBroadcast / activation kernels.
-void FusedMatMulRows(const Matrix& a, const Matrix& b, const Matrix* bias,
-                     FusedAct act, Matrix* out, int64_t r0, int64_t r1);
-
-/// Elements [i0, i1): out[i] = steps applied to a[i] in order.
-void FusedEltwiseRange(const Matrix& a, const EltwiseStep* steps,
-                       int num_steps, Matrix* out, int64_t i0, int64_t i1);
-
-/// Per-element cost estimate for an eltwise chain (grain selection only —
-/// never affects results).
-int64_t EltwiseChainCost(const EltwiseStep* steps, int num_steps);
+/// out[i] = steps applied to a[i] in order, for every element. Writes
+/// every element of `out`, which may be unfilled (Matrix::ForOverwrite).
+void FusedEltwiseInto(const Matrix& a, const EltwiseStep* steps,
+                      int num_steps, Matrix* out) NMCDR_HOT;
 
 }  // namespace nmcdr
 

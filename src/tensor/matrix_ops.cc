@@ -1,18 +1,26 @@
 #include "tensor/matrix_ops.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "obs/trace.h"
 #include "tensor/backend.h"
+#include "tensor/scalar_kernels.h"
 #include "tensor/vector_kernels.h"
 
 namespace nmcdr {
 
-// The free functions below are thin dispatchers: they validate shapes, open
-// an obs::KernelScope (call count + FLOP estimate; wall time under
-// profiling), then forward to the thread/process-selected KernelBackend
-// (tensor/backend.h). All backends are bit-exact with each other, so callers
-// never observe the dispatch. The probes live here and NOT inside backend
-// implementations, so bench_kernels — which calls backends directly — always
-// times pristine kernels.
+// Every free function below validates shapes and opens an obs::KernelScope
+// (call count + FLOP estimate; wall time under profiling). The GEMM family
+// and AxpyInto then forward to the thread's KernelBackend
+// (tensor/backend.h), serial or vector, which are bit-exact with each
+// other; every other kernel is the one scalar loop written here, under any
+// backend. These loops are the readable reference the replay path's fused
+// kernels are audited against, bit for bit.
+//
+// A kernel that writes every output element allocates its output with
+// Matrix::ForOverwrite (unfilled inside the replay arena); one that adds
+// into its output (ColSum) keeps the zero-filled constructor.
 //
 // FLOP estimates follow the usual conventions: 2mnk for GEMMs (multiply +
 // add), mn for one-pass elementwise maps, small constants for transcendental
@@ -26,6 +34,27 @@ using obs::KernelScope;
 
 int64_t Elems(const Matrix& a) {
   return static_cast<int64_t>(a.rows()) * a.cols();
+}
+
+/// out[i] = f(a[i]) for every element.
+template <typename F>
+Matrix Map(const Matrix& a, F f) {
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
+  const float* in = a.data();
+  float* o = out.data();
+  for (int64_t i = 0; i < a.size(); ++i) o[i] = f(in[i]);
+  return out;
+}
+
+/// out[i] = f(a[i], b[i]) for every element.
+template <typename F>
+Matrix Map2(const Matrix& a, const Matrix& b, F f) {
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* o = out.data();
+  for (int64_t i = 0; i < a.size(); ++i) o[i] = f(pa[i], pb[i]);
+  return out;
 }
 
 }  // namespace
@@ -66,31 +95,40 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
 
 Matrix Transpose(const Matrix& a) {
   const KernelScope scope(Kernel::kTranspose, Elems(a));
-  return CurrentBackend().Transpose(a);
+  const int cols = a.cols(), rows = a.rows();
+  Matrix out = Matrix::ForOverwrite(cols, rows);
+  for (int r = 0; r < rows; ++r) {
+    const float* arow = a.row(r);
+    float* base = out.data() + r;
+    for (int c = 0; c < cols; ++c) base[static_cast<size_t>(c) * rows] = arow[c];
+  }
+  return out;
 }
 
 Matrix Add(const Matrix& a, const Matrix& b) {
   NMCDR_CHECK(a.SameShape(b));
   const KernelScope scope(Kernel::kAdd, Elems(a));
-  return CurrentBackend().Add(a, b);
+  return Map2(a, b, [](float x, float y) { return x + y; });
 }
 
 Matrix Sub(const Matrix& a, const Matrix& b) {
   NMCDR_CHECK(a.SameShape(b));
   const KernelScope scope(Kernel::kSub, Elems(a));
-  return CurrentBackend().Sub(a, b);
+  return Map2(a, b, [](float x, float y) { return x - y; });
 }
 
 Matrix Hadamard(const Matrix& a, const Matrix& b) {
   NMCDR_CHECK(a.SameShape(b));
   const KernelScope scope(Kernel::kHadamard, Elems(a));
-  return CurrentBackend().Hadamard(a, b);
+  return Map2(a, b, [](float x, float y) { return x * y; });
 }
 
 Matrix Axpby(const Matrix& a, float alpha, const Matrix& b, float beta) {
   NMCDR_CHECK(a.SameShape(b));
   const KernelScope scope(Kernel::kAxpby, 3 * Elems(a));
-  return CurrentBackend().Axpby(a, alpha, b, beta);
+  return Map2(a, b, [alpha, beta](float x, float y) {
+    return alpha * x + beta * y;
+  });
 }
 
 void AxpyInto(const Matrix& a, float alpha, Matrix* out) {
@@ -106,60 +144,89 @@ void FirstAccumInto(const Matrix& a, Matrix* out) {
 
 Matrix Scale(const Matrix& a, float s) {
   const KernelScope scope(Kernel::kScale, Elems(a));
-  return CurrentBackend().Scale(a, s);
+  return Map(a, [s](float x) { return s * x; });
 }
 
 Matrix AddScalar(const Matrix& a, float s) {
   const KernelScope scope(Kernel::kAddScalar, Elems(a));
-  return CurrentBackend().AddScalar(a, s);
+  return Map(a, [s](float x) { return x + s; });
 }
 
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& b) {
   NMCDR_CHECK_EQ(b.rows(), 1);
   NMCDR_CHECK_EQ(a.cols(), b.cols());
   const KernelScope scope(Kernel::kAddRowBroadcast, Elems(a));
-  return CurrentBackend().AddRowBroadcast(a, b);
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
+  const float* brow = b.row(0);
+  for (int r = 0; r < a.rows(); ++r) {
+    const float* arow = a.row(r);
+    float* orow = out.row(r);
+    for (int c = 0; c < a.cols(); ++c) orow[c] = arow[c] + brow[c];
+  }
+  return out;
 }
 
 Matrix Relu(const Matrix& a) {
   const KernelScope scope(Kernel::kRelu, Elems(a));
-  return CurrentBackend().Relu(a);
+  return Map(a, ReluScalar);
 }
 
 Matrix Sigmoid(const Matrix& a) {
   const KernelScope scope(Kernel::kSigmoid, 4 * Elems(a));
-  return CurrentBackend().Sigmoid(a);
+  return Map(a, SigmoidScalar);
 }
 
 Matrix Tanh(const Matrix& a) {
   const KernelScope scope(Kernel::kTanh, 4 * Elems(a));
-  return CurrentBackend().Tanh(a);
+  return Map(a, TanhScalar);
 }
 
 Matrix Softplus(const Matrix& a) {
   const KernelScope scope(Kernel::kSoftplus, 4 * Elems(a));
-  return CurrentBackend().Softplus(a);
+  return Map(a, SoftplusScalar);
 }
 
 Matrix Exp(const Matrix& a) {
   const KernelScope scope(Kernel::kExp, 2 * Elems(a));
-  return CurrentBackend().Exp(a);
+  return Map(a, ExpScalar);
 }
 
 Matrix Log(const Matrix& a) {
   const KernelScope scope(Kernel::kLog, 2 * Elems(a));
-  return CurrentBackend().Log(a);
+  return Map(a, LogScalar);
 }
 
 Matrix SoftmaxRows(const Matrix& a) {
   NMCDR_CHECK_GT(a.cols(), 0);
   const KernelScope scope(Kernel::kSoftmaxRows, 5 * Elems(a));
-  return CurrentBackend().SoftmaxRows(a);
+  const int cols = a.cols();
+  Matrix out = Matrix::ForOverwrite(a.rows(), cols);
+  for (int r = 0; r < a.rows(); ++r) {
+    const float* in = a.row(r);
+    float* o = out.row(r);
+    float mx = in[0];
+    for (int c = 1; c < cols; ++c) mx = std::max(mx, in[c]);
+    double total = 0.0;
+    for (int c = 0; c < cols; ++c) {
+      o[c] = std::exp(in[c] - mx);
+      total += o[c];
+    }
+    const float inv = static_cast<float>(1.0 / total);
+    for (int c = 0; c < cols; ++c) o[c] *= inv;
+  }
+  return out;
 }
 
 Matrix RowSum(const Matrix& a) {
   const KernelScope scope(Kernel::kRowSum, Elems(a));
-  return CurrentBackend().RowSum(a);
+  Matrix out = Matrix::ForOverwrite(a.rows(), 1);
+  for (int r = 0; r < a.rows(); ++r) {
+    double acc = 0.0;
+    const float* arow = a.row(r);
+    for (int c = 0; c < a.cols(); ++c) acc += arow[c];
+    out.At(r, 0) = static_cast<float>(acc);
+  }
+  return out;
 }
 
 Matrix RowMean(const Matrix& a) {
@@ -169,7 +236,13 @@ Matrix RowMean(const Matrix& a) {
 
 Matrix ColSum(const Matrix& a) {
   const KernelScope scope(Kernel::kColSum, Elems(a));
-  return CurrentBackend().ColSum(a);
+  Matrix out(1, a.cols());
+  float* o = out.row(0);
+  for (int r = 0; r < a.rows(); ++r) {
+    const float* arow = a.row(r);
+    for (int c = 0; c < a.cols(); ++c) o[c] += arow[c];
+  }
+  return out;
 }
 
 Matrix ColMean(const Matrix& a) {
@@ -181,7 +254,16 @@ Matrix GatherRows(const Matrix& table, const std::vector<int>& ids) {
   const KernelScope scope(
       Kernel::kGatherRows,
       static_cast<int64_t>(ids.size()) * table.cols());
-  return CurrentBackend().GatherRows(table, ids);
+  const int cols = table.cols();
+  Matrix out = Matrix::ForOverwrite(static_cast<int>(ids.size()), cols);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    NMCDR_DCHECK_GE(ids[i], 0);
+    NMCDR_DCHECK_LT(ids[i], table.rows());
+    const float* src = table.row(ids[i]);
+    float* dst = out.row(static_cast<int>(i));
+    for (int c = 0; c < cols; ++c) dst[c] = src[c];
+  }
+  return out;
 }
 
 void ScatterAddRows(const Matrix& src, const std::vector<int>& ids,
@@ -189,19 +271,47 @@ void ScatterAddRows(const Matrix& src, const std::vector<int>& ids,
   NMCDR_CHECK_EQ(src.rows(), static_cast<int>(ids.size()));
   NMCDR_CHECK_EQ(src.cols(), out->cols());
   const KernelScope scope(Kernel::kScatterAddRows, Elems(src));
-  CurrentBackend().ScatterAddRows(src, ids, out);
+  for (const int id : ids) {
+    NMCDR_CHECK_GE(id, 0);
+    NMCDR_CHECK_LT(id, out->rows());
+  }
+  // Ascending i, so colliding ids add in a fixed order.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const float* s = src.row(static_cast<int>(i));
+    float* d = out->row(ids[i]);
+    for (int c = 0; c < src.cols(); ++c) d[c] += s[c];
+  }
 }
 
 Matrix ConcatCols(const Matrix& a, const Matrix& b) {
   NMCDR_CHECK_EQ(a.rows(), b.rows());
   const KernelScope scope(Kernel::kConcatCols, Elems(a) + Elems(b));
-  return CurrentBackend().ConcatCols(a, b);
+  const int ac = a.cols(), bc = b.cols();
+  Matrix out = Matrix::ForOverwrite(a.rows(), ac + bc);
+  for (int r = 0; r < a.rows(); ++r) {
+    float* o = out.row(r);
+    const float* ar = a.row(r);
+    const float* br = b.row(r);
+    for (int c = 0; c < ac; ++c) o[c] = ar[c];
+    for (int c = 0; c < bc; ++c) o[ac + c] = br[c];
+  }
+  return out;
 }
 
 Matrix RowDot(const Matrix& a, const Matrix& b) {
   NMCDR_CHECK(a.SameShape(b));
   const KernelScope scope(Kernel::kRowDot, 2 * Elems(a));
-  return CurrentBackend().RowDot(a, b);
+  Matrix out = Matrix::ForOverwrite(a.rows(), 1);
+  for (int r = 0; r < a.rows(); ++r) {
+    const float* ar = a.row(r);
+    const float* br = b.row(r);
+    double acc = 0.0;
+    for (int c = 0; c < a.cols(); ++c) {
+      acc += static_cast<double>(ar[c]) * br[c];
+    }
+    out.At(r, 0) = static_cast<float>(acc);
+  }
+  return out;
 }
 
 CsrMatrix::CsrMatrix(

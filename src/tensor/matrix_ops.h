@@ -11,11 +11,10 @@ namespace nmcdr {
 /// return a fresh result unless they end in `Into`, which writes into an
 /// already-shaped output (accumulating where documented).
 ///
-/// Each free function is a thin dispatcher: it validates shapes, then
-/// forwards to the currently selected KernelBackend (tensor/backend.h).
-/// Backends are bit-exact with each other — results do not depend on the
-/// backend or thread count. Select per-thread with BackendGuard or
-/// process-wide with SetDefaultBackend / NMCDR_BACKEND.
+/// The GEMM family and AxpyInto forward to the thread's KernelBackend
+/// (tensor/backend.h: serial or vector, selected per thread with
+/// BackendGuard); the two are bit-exact with each other, so results do not
+/// depend on the backend. Every other kernel has one implementation.
 
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n].
 Matrix MatMul(const Matrix& a, const Matrix& b);
@@ -112,7 +111,7 @@ class CsrMatrix {
 
   /// Y = A * X (dense X [cols, d] -> Y [rows, d]). Each output row sums
   /// its entries in CSR order from +0.0 (VectorSparseRowsMultiply), under
-  /// every kernel backend.
+  /// either kernel backend.
   Matrix Multiply(const Matrix& x) const;
 
   /// Y = A^T * X (dense X [rows, d] -> Y [cols, d]).

@@ -2,15 +2,14 @@
 #define NMCDR_TENSOR_SCALAR_KERNELS_H_
 
 #include <cmath>
-#include <cstdint>
 
 // Per-element scalar bodies shared by the eager activation kernels
-// (backend.cc) and the fused/planned replay kernels (fused_kernels.cc).
-// Both translation units include this header, so fused and eager execution
-// evaluate the exact same expressions against the same libm — results are
-// bit-identical regardless of each TU's optimization level (no expression
-// here is eligible for reassociation or FMA contraction on the baseline
-// target).
+// (matrix_ops.cc) and the replay path's fused kernels (fused_kernels.cc,
+// vector_kernels.cc). Every one of those translation units includes this
+// header, so fused and eager execution evaluate the exact same
+// expressions against the same libm — results are bit-identical
+// regardless of each TU's optimization level (no expression here is
+// eligible for reassociation or FMA contraction on the baseline target).
 
 namespace nmcdr {
 
@@ -38,10 +37,6 @@ inline float ExpScalar(float x) { return std::exp(x); }
 inline float LogScalar(float x) {
   return std::log(x > 1e-12f ? x : 1e-12f);
 }
-
-/// Transcendental loops get a smaller grain: each element costs ~10-30
-/// flops, so chunks amortize the handshake much sooner.
-constexpr int64_t kTranscendentalCost = 16;
 
 }  // namespace nmcdr
 

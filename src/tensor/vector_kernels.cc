@@ -6,7 +6,7 @@
 // not reassociate, the lane ops from tensor/simd.h are lane-wise IEEE
 // operations with no horizontal reduction, and contraction of the
 // explicit multiply-then-add pairs into FMAs — the one transform that
-// could change rounding — is forbidden. The eager kernels in backend.cc
+// could change rounding — is forbidden. The serial loops in backend.cc
 // stay at the default level as the readable reference these cores are
 // audited against, bit for bit.
 
@@ -27,10 +27,6 @@ using simd::F64x4;
 using simd::kDoubleLanes;
 using simd::kFloatLanes;
 
-/// Mirrors backend.cc's min scalar work per pool chunk (kept in sync by
-/// value; a scheduling knob only — never affects results).
-constexpr int64_t kMinTileWork = 1 << 15;
-
 /// Fully unrolls a fixed-trip register loop before GCC decides where the
 /// tile's accumulator array lives: left rolled, a variable index pins the
 /// array to the stack and every add round-trips through memory.
@@ -49,11 +45,12 @@ constexpr int kAccumRows = 4;
 /// (a_row_stride = 1, av_stride = a.cols()). The fixed R and NV keep every
 /// accumulator in a register across the whole p loop.
 ///
-/// kSkipZeros is the reference's per-(row, p) `av == 0` skip (backend.cc
-/// MatMulAccumRows) as a lane-wise select instead of a branch: that row's
-/// accumulators keep their old value, so rows whose zeros differ share the
-/// tile exactly. Callers drop it when the block's A elements hold no zero,
-/// where the skip never fires and the select would only add work.
+/// kSkipZeros is the reference's per-(row, p) `av == 0` skip
+/// (SerialBackend::MatMulAccumInto) as a lane-wise select instead of a
+/// branch: that row's accumulators keep their old value, so rows whose
+/// zeros differ share the tile exactly. Callers drop it when the block's
+/// A elements hold no zero, where the skip never fires and the select
+/// would only add work.
 ///
 /// `from_zero` starts the accumulators at +0.0 in registers instead of
 /// loading C: the same chain the reference runs over a zero-filled output,
@@ -274,7 +271,8 @@ inline void BuildDotPanel(const Matrix& b, int64_t j0, int64_t w, int64_t p0,
 constexpr int kDotRows = 2;
 
 /// R output rows x kDotPanelWidth columns of the double dot over panel
-/// steps [0, kc), each chain ascending p exactly like MatMulTransBRows.
+/// steps [0, kc), each chain ascending p exactly like
+/// SerialBackend::MatMulTransB.
 /// Row r's A row is a0 + r * a_stride. The chains start at +0 on the
 /// first depth chunk, else from the carried partial sums `part`; they end
 /// in `part` when more chunks follow, else rounded once into the `w` live
@@ -337,50 +335,39 @@ inline void DotPanelRows(const float* a0, size_t a_stride,
   }
 }
 
-inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-
-}  // namespace
-
-namespace {
-
-/// The plain product's tile: accumulate into C, or with `from_zero`
-/// overwrite it with the product.
-void MatMulTile(const Matrix& a, const Matrix& b, Matrix* out, int64_t r0,
-                int64_t r1, int64_t c0, int64_t c1, bool from_zero) {
-  AccumRowRange(a.data() + r0 * a.cols(), static_cast<size_t>(a.cols()), 1,
-                b.data() + c0, static_cast<size_t>(b.cols()), a.cols(),
-                c1 - c0, r1 - r0, out->data() + r0 * out->cols() + c0,
-                static_cast<size_t>(out->cols()), from_zero);
+/// The plain product over the whole output: accumulate into C, or with
+/// `from_zero` overwrite it with the product.
+void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out, bool from_zero) {
+  AccumRowRange(a.data(), static_cast<size_t>(a.cols()), 1, b.data(),
+                static_cast<size_t>(b.cols()), a.cols(), b.cols(), a.rows(),
+                out->data(), static_cast<size_t>(out->cols()), from_zero);
 }
 
 }  // namespace
 
-void VectorMatMulAccumTile(const Matrix& a, const Matrix& b, Matrix* out,
-                           int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-  MatMulTile(a, b, out, r0, r1, c0, c1, /*from_zero=*/false);
+void VectorMatMulAccum(const Matrix& a, const Matrix& b, Matrix* out) {
+  MatMulInto(a, b, out, /*from_zero=*/false);
 }
 
-void VectorMatMulTransATile(const Matrix& a, const Matrix& b, Matrix* out,
-                            int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
+void VectorMatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   // Output row i is column i of A: consecutive output rows are adjacent A
   // elements and the per-p A element strides by a.cols().
-  AccumRowRange(a.data() + r0, 1, static_cast<size_t>(a.cols()),
-                b.data() + c0, static_cast<size_t>(b.cols()), a.rows(),
-                c1 - c0, r1 - r0, out->data() + r0 * out->cols() + c0,
-                static_cast<size_t>(out->cols()), /*from_zero=*/true);
+  AccumRowRange(a.data(), 1, static_cast<size_t>(a.cols()), b.data(),
+                static_cast<size_t>(b.cols()), a.rows(), b.cols(), a.cols(),
+                out->data(), static_cast<size_t>(out->cols()),
+                /*from_zero=*/true);
 }
 
-void VectorMatMulTransBTile(const Matrix& a, const Matrix& b, Matrix* out,
-                            int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-  const int64_t k = a.cols();
+void VectorMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
+  const int64_t k = a.cols(), m = a.rows(), n = b.rows();
   const size_t a_stride = static_cast<size_t>(a.cols());
   const size_t c_stride = static_cast<size_t>(out->cols());
   double panel[kDotPanelDepth * kDotPanelWidth];
   double partial[kDotRowBlock * kDotPanelWidth];
-  for (int64_t j0 = c0; j0 < c1; j0 += kDotPanelWidth) {
-    const int64_t w = std::min<int64_t>(kDotPanelWidth, c1 - j0);
-    for (int64_t i0 = r0; i0 < r1; i0 += kDotRowBlock) {
-      const int64_t i1 = std::min(i0 + kDotRowBlock, r1);
+  for (int64_t j0 = 0; j0 < n; j0 += kDotPanelWidth) {
+    const int64_t w = std::min<int64_t>(kDotPanelWidth, n - j0);
+    for (int64_t i0 = 0; i0 < m; i0 += kDotRowBlock) {
+      const int64_t i1 = std::min(i0 + kDotRowBlock, m);
       // One pass even at k == 0, which stores the empty sums (+0).
       int64_t p0 = 0;
       do {
@@ -406,15 +393,14 @@ void VectorMatMulTransBTile(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
-void VectorFusedMatMulTile(const Matrix& a, const Matrix& b,
-                           const Matrix* bias, FusedAct act, Matrix* out,
-                           int64_t r0, int64_t r1, int64_t c0, int64_t c1) {
-  MatMulTile(a, b, out, r0, r1, c0, c1, /*from_zero=*/true);
-  const int64_t n = c1 - c0;
-  const float* brow = bias != nullptr ? bias->row(0) + c0 : nullptr;
+void VectorFusedMatMul(const Matrix& a, const Matrix& b, const Matrix* bias,
+                       FusedAct act, Matrix* out) {
+  MatMulInto(a, b, out, /*from_zero=*/true);
+  const int64_t n = b.cols();
+  const float* brow = bias != nullptr ? bias->row(0) : nullptr;
   const bool relu = act == FusedAct::kRelu;
-  for (int64_t r = r0; r < r1; ++r) {
-    float* crow = out->row(static_cast<int>(r)) + c0;
+  for (int r = 0; r < a.rows(); ++r) {
+    float* crow = out->row(r);
     // Bias and ReLU run in lanes (a data-dependent branch per element
     // costs more than the GEMM at n = 16); sigmoid and tanh call libm.
     int64_t j = 0;
@@ -653,32 +639,6 @@ void VectorNeighborAttentionBackward(
       for (; c < d; ++c) dvr[c] += ds[j] * ur[c] + a[j] * gr[c];
     }
   }
-}
-
-GemmTileGrid MakeGemmTileGrid(int64_t rows, int64_t cols, int64_t k,
-                              int threads) {
-  GemmTileGrid g;
-  g.rows = rows;
-  g.cols = cols;
-  if (rows <= 0 || cols <= 0) return g;  // num_tiles() == 0, nothing to run
-
-  // Column tiles keep the active B panel (col_block * k floats) and the C
-  // tile row L1/L2-resident; a 96-column output is served by one tile so
-  // the common 64-wide hidden layers never pay a ragged tail.
-  g.col_block = cols <= 96 ? cols : 64;
-  g.col_tiles = CeilDiv(cols, g.col_block);
-
-  // Row tiles: enough tiles that every worker gets ~2 (static chunking
-  // balance), but never so thin that a tile undercuts the pool's min-work
-  // grain — small shapes then collapse to one tile and run inline.
-  const int64_t want_row_tiles =
-      std::max<int64_t>(1, int64_t{2} * std::max(1, threads) / g.col_tiles);
-  int64_t rb = CeilDiv(rows, want_row_tiles);
-  const int64_t tile_cost = std::max<int64_t>(1, g.col_block * k);
-  rb = std::max(rb, CeilDiv(kMinTileWork, tile_cost));
-  g.row_block = std::min(rb, rows);
-  g.row_tiles = CeilDiv(rows, g.row_block);
-  return g;
 }
 
 }  // namespace nmcdr

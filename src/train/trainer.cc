@@ -21,6 +21,8 @@ Trainer::Trainer(const ScenarioView& view, const TrainConfig& config,
       full_graph_zbar_(full_graph_zbar),
       sampler_z_(view.train_graph_z),
       sampler_zbar_(view.train_graph_zbar) {
+  // Training never forks kernels: 0 inherits the backend, 1 pins serial.
+  NMCDR_CHECK(config_.threads == 0 || config_.threads == 1);
   cursor_z_.order = view.split_z->train;
   cursor_zbar_.order = view.split_zbar->train;
   NMCDR_CHECK(!cursor_z_.order.empty());
@@ -58,8 +60,9 @@ LabeledBatch Trainer::NextBatch(DomainSide side, Rng* rng) {
 }
 
 TrainSummary Trainer::Train(RecModel* model) {
-  // Pin the kernel backend for the whole run (no-op when threads == 0).
-  BackendGuard backend_guard(BackendForThreads(config_.threads));
+  // Pin the serial reference for the whole run (no-op when threads == 0).
+  BackendGuard backend_guard(config_.threads == 1 ? &SerialKernelBackend()
+                                                  : nullptr);
   Rng rng(config_.seed);
   TrainSummary summary;
   Stopwatch watch;
@@ -82,8 +85,8 @@ TrainSummary Trainer::Train(RecModel* model) {
   // Graph-program fusion: the first step records the model's op stream
   // eagerly; the scope exit compiles it into fused groups + an arena plan,
   // and every later step replays the program. Replay is bitwise-identical
-  // to eager (tensor/backend.h fused-kernel contract), and any divergence
-  // from the recorded stream retires the program to plain eager mode.
+  // to eager (the src/program contract), and any divergence from the
+  // recorded stream retires the program to plain eager mode.
   const bool fuse = config_.fusion && prog::FusionEnvEnabled();
   prog::GraphProgram program;
   bool recorded = false;

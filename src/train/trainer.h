@@ -26,12 +26,11 @@ struct TrainConfig {
   /// With eval_every active, stop after this many non-improving
   /// evaluations (0 = never stop early).
   int early_stop_patience = 0;
-  /// Kernel threads for this run: 0 = inherit the process-wide backend
-  /// (by default one thread of vector tile cores, the fastest setting at
-  /// D = 16), 1 = force the serial reference backend (slower than the
-  /// default), >1 = the parallel backend over the shared pool. Results
-  /// are bit-identical at any setting — backends are bit-exact by contract
-  /// (tensor/backend.h).
+  /// Kernel backend for this run, which always trains on the calling
+  /// thread: 0 = inherit the thread's backend (by default the vector tile
+  /// cores, the fastest at D = 16), 1 = pin the serial reference (slower).
+  /// Results are bit-identical either way — the backends are bit-exact by
+  /// contract (tensor/backend.h). Trainer rejects any other value.
   int threads = 0;
   /// Compile the first training step into a graph program (src/program)
   /// and replay it — fused kernels + arena-planned buffers — for the rest

@@ -14,18 +14,19 @@
 namespace nmcdr {
 
 /// The repo's single threading entry point: a fixed pool of workers behind
-/// a task queue, plus the `ParallelFor` primitive every parallel kernel is
-/// built on. Nothing outside src/util/thread_pool.* may construct
-/// std::thread / std::async (enforced by the nmcdr_lint `banned-thread`
-/// rule), so thread count, shutdown order, and sanitizer coverage are
-/// decided in exactly one place.
+/// a task queue, plus the `ParallelFor` primitive the serving fan-out
+/// (ScoreEngine batches, sharded scoring) is built on. Nothing outside
+/// src/util/thread_pool.* may construct std::thread / std::async
+/// (enforced by the nmcdr_lint `banned-thread` rule), so thread count,
+/// shutdown order, and sanitizer coverage are decided in exactly one
+/// place.
 ///
 /// `ParallelFor` uses deterministic static chunking: the chunk boundaries
 /// are a pure function of (begin, end, grain, num_threads()), never of
-/// timing or queue state. Kernels built on it write disjoint output
-/// regions and keep the per-element floating-point operation order of the
-/// serial code, so parallel results are bit-exact and independent of which
-/// worker ran which chunk (see DESIGN.md §9).
+/// timing or queue state. Callers write disjoint output regions and keep
+/// the per-element floating-point operation order of the serial code, so
+/// parallel results are bit-exact and independent of which worker ran
+/// which chunk (see DESIGN.md §9).
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (clamped to >= 1). `num_threads` is the

@@ -49,9 +49,9 @@ TEST(OpSuiteBackends, GradChecksPassUnderSerialBackend) {
   }
 }
 
-TEST(OpSuiteBackends, GradChecksPassUnderParallelBackend) {
+TEST(OpSuiteBackends, GradChecksPassUnderVectorBackend) {
   for (const GradCheckIssue& issue :
-       RunAllGradChecks(&ParallelKernelBackend())) {
+       RunAllGradChecks(&VectorKernelBackend())) {
     ADD_FAILURE() << issue.case_name << ": " << issue.detail;
   }
 }

@@ -1,12 +1,16 @@
 // Bit-exactness fuzz for the kernel backends (src/tensor/backend.h): every
 // KernelBackend entry point must produce byte-identical results under the
-// serial backend, under the explicitly vectorized backend (register-blocked
-// SIMD GEMM family), and under the parallel backend at several pool sizes,
-// including 0-row, 1-row, and ragged-tail shapes — tails are where SIMD
-// remainder handling breaks first. This is the enforcement arm of the
-// backend contract — training and serving results must not depend on the
-// backend or thread count. Trainer-level tests close the loop end to end:
-// identical final loss serial vs vector vs parallel, across the model zoo.
+// serial reference and under the explicitly vectorized backend
+// (register-blocked SIMD GEMM family), including 0-row, 1-row, and
+// ragged-tail shapes — tails are where SIMD remainder handling breaks
+// first. The graph-program replay's kernels (the fused epilogue, the
+// eltwise chain, the vector TransA/TransB it calls under any backend) must
+// match the composed serial eager ops they replace, and the kernels with
+// one implementation must match the GEMMs that compute the same sums under
+// both backends. This is the enforcement arm of the backend contract —
+// training and serving results must not depend on the backend.
+// Trainer-level tests close the loop end to end: identical final loss
+// serial vs vector, fused vs eager, across the model zoo.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,11 +21,12 @@
 #include "core/nmcdr_model.h"
 #include "obs/obs.h"
 #include "tensor/backend.h"
+#include "tensor/fused_kernels.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
+#include "tensor/vector_kernels.h"
 #include "tests/test_util.h"
 #include "train/registry.h"
-#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
@@ -66,13 +71,6 @@ Matrix SpecialMatrix(int rows, int cols, double special_rate, Rng* rng) {
   return m;
 }
 
-/// Strictly positive entries for Log.
-Matrix RandomPositiveMatrix(int rows, int cols, Rng* rng) {
-  Matrix m(rows, cols);
-  for (int i = 0; i < m.size(); ++i) m.data()[i] = rng->Uniform(0.1f, 3.f);
-  return m;
-}
-
 std::vector<int> RandomIds(int count, int table_rows, Rng* rng) {
   std::vector<int> ids(count);
   // Duplicates are likely by construction — ScatterAddRows must keep
@@ -100,207 +98,235 @@ std::vector<int> RandomIds(int count, int table_rows, Rng* rng) {
   return ::testing::AssertionSuccess();
 }
 
-/// Pool sizes the parallel backend is fuzzed at. 1 (degenerate), 2/3
-/// (ragged splits of most shapes), 5 (more chunks than some dimensions).
-const int kPoolSizes[] = {1, 2, 3, 5};
-
 /// (rows, cols) shapes covering empty, single-row/col, and ragged tails
-/// (sizes not divisible by typical chunk counts).
+/// (sizes not divisible by the 8-lane and 4-row tiles).
 const int kShapes[][2] = {{0, 4}, {1, 1},  {1, 7},  {3, 5},
                           {7, 3}, {5, 17}, {33, 9}, {64, 1}};
 
-/// Runs `check(serial, other)` once with the vector backend and once per
-/// fuzzed pool size with the parallel backend, so every call site fuzzes
-/// all non-reference backends against the serial reference.
-template <typename Fn>
-void ForEachCheckedBackend(Fn check) {
-  const SerialBackend& serial = SerialKernelBackend();
-  {
-    SCOPED_TRACE("vector backend");
-    check(serial, VectorKernelBackend());
+const FusedAct kActs[] = {FusedAct::kNone, FusedAct::kRelu,
+                          FusedAct::kSigmoid, FusedAct::kTanh};
+
+Matrix Ones(int rows, int cols) { return Matrix(rows, cols, 1.f); }
+
+/// The serial reference's MatMul: MatMulAccumInto onto zeros.
+Matrix SerialMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  SerialKernelBackend().MatMulAccumInto(a, b, &out);
+  return out;
+}
+
+/// The eager ops a fused epilogue applies after the MatMul `product`: the
+/// bias row, then the activation.
+Matrix ComposedEpilogue(Matrix out, const Matrix* bias, FusedAct act) {
+  if (bias != nullptr) out = AddRowBroadcast(out, *bias);
+  if (act == FusedAct::kRelu) out = Relu(out);
+  if (act == FusedAct::kSigmoid) out = Sigmoid(out);
+  if (act == FusedAct::kTanh) out = Tanh(out);
+  return out;
+}
+
+/// The replay path's fused epilogue (GraphProgram calls it directly).
+Matrix FusedEpilogue(const Matrix& a, const Matrix& b, const Matrix* bias,
+                     FusedAct act) {
+  Matrix out = Matrix::ForOverwrite(a.rows(), b.cols());
+  VectorFusedMatMul(a, b, bias, act, &out);
+  return out;
+}
+
+/// A one-step eltwise chain: the replay's implementation of one eager op.
+Matrix Chain(const Matrix& a, EltwiseOp op, const Matrix* side = nullptr,
+             float scalar = 0.f, bool rhs = false) {
+  EltwiseStep step;
+  step.op = op;
+  step.rhs = rhs;
+  step.scalar = scalar;
+  step.side = side != nullptr ? side->data() : nullptr;
+  Matrix out = Matrix::ForOverwrite(a.rows(), a.cols());
+  FusedEltwiseInto(a, &step, 1, &out);
+  return out;
+}
+
+/// out[i][ids[i]] = 1: GatherRows(table, ids) is OneHot(ids) * table.
+Matrix OneHot(const std::vector<int>& ids, int cols) {
+  Matrix m(static_cast<int>(ids.size()), cols);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    m.At(static_cast<int>(i), ids[i]) = 1.f;
   }
-  for (int pool_size : kPoolSizes) {
-    SCOPED_TRACE("pool size " + std::to_string(pool_size));
-    ThreadPool pool(pool_size);
-    const ParallelBackend parallel(&pool);
-    check(serial, parallel);
-  }
+  return m;
 }
 
 TEST(BackendEquivalenceTest, MatMulFamily) {
   Rng rng(11);
-  ForEachCheckedBackend([&](const KernelBackend& s, const KernelBackend& p) {
-    for (const auto& shape : kShapes) {
-      const int m = shape[0], k = shape[1];
-      const int n = 1 + static_cast<int>(rng.NextUint64(19));
-      const Matrix a = RandomMatrix(m, k, &rng);
-      const Matrix b = RandomMatrix(k, n, &rng);
-      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + " * " +
-                   std::to_string(k) + "x" + std::to_string(n));
+  const SerialBackend& s = SerialKernelBackend();
+  const VectorBackend& v = VectorKernelBackend();
+  for (const auto& shape : kShapes) {
+    const int m = shape[0], k = shape[1];
+    const int n = 1 + static_cast<int>(rng.NextUint64(19));
+    const Matrix a = RandomMatrix(m, k, &rng);
+    const Matrix b = RandomMatrix(k, n, &rng);
+    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + " * " +
+                 std::to_string(k) + "x" + std::to_string(n));
 
-      Matrix out_s = RandomMatrix(m, n, &rng);  // accumulate onto noise
-      Matrix out_p = out_s;
-      s.MatMulAccumInto(a, b, &out_s);
-      p.MatMulAccumInto(a, b, &out_p);
-      EXPECT_TRUE(BitEqual(out_s, out_p));
+    Matrix out_s = RandomMatrix(m, n, &rng);  // accumulate onto noise
+    Matrix out_v = out_s;
+    s.MatMulAccumInto(a, b, &out_s);
+    v.MatMulAccumInto(a, b, &out_v);
+    EXPECT_TRUE(BitEqual(out_s, out_v));
 
-      const Matrix ta = RandomMatrix(k, m, &rng);
-      const Matrix tb = RandomMatrix(k, n, &rng);
-      EXPECT_TRUE(BitEqual(s.MatMulTransA(ta, tb), p.MatMulTransA(ta, tb)));
+    const Matrix ta = RandomMatrix(k, m, &rng);
+    const Matrix tb = RandomMatrix(k, n, &rng);
+    EXPECT_TRUE(BitEqual(s.MatMulTransA(ta, tb), v.MatMulTransA(ta, tb)));
 
-      const Matrix bb = RandomMatrix(n, k, &rng);
-      EXPECT_TRUE(BitEqual(s.MatMulTransB(a, bb), p.MatMulTransB(a, bb)));
-
-      EXPECT_TRUE(BitEqual(s.Transpose(a), p.Transpose(a)));
-    }
-  });
+    const Matrix bb = RandomMatrix(n, k, &rng);
+    EXPECT_TRUE(BitEqual(s.MatMulTransB(a, bb), v.MatMulTransB(a, bb)));
+  }
 }
 
+/// AxpyInto under both backends; FirstAccumInto against an AxpyInto onto
+/// zeros; and every elementwise eager kernel against the one-step eltwise
+/// chain the graph-program replay runs in its place.
 TEST(BackendEquivalenceTest, ElementwiseAndBroadcast) {
   Rng rng(12);
-  ForEachCheckedBackend([&](const KernelBackend& s, const KernelBackend& p) {
-    for (const auto& shape : kShapes) {
-      const int r = shape[0], c = shape[1];
-      SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c));
-      const Matrix a = RandomMatrix(r, c, &rng);
-      const Matrix b = RandomMatrix(r, c, &rng);
-      EXPECT_TRUE(BitEqual(s.Add(a, b), p.Add(a, b)));
-      EXPECT_TRUE(BitEqual(s.Sub(a, b), p.Sub(a, b)));
-      EXPECT_TRUE(BitEqual(s.Hadamard(a, b), p.Hadamard(a, b)));
-      EXPECT_TRUE(BitEqual(s.Axpby(a, 1.7f, b, -0.3f),
-                           p.Axpby(a, 1.7f, b, -0.3f)));
-      EXPECT_TRUE(BitEqual(s.Scale(a, -2.5f), p.Scale(a, -2.5f)));
-      EXPECT_TRUE(BitEqual(s.AddScalar(a, 0.75f), p.AddScalar(a, 0.75f)));
+  for (const auto& shape : kShapes) {
+    const int r = shape[0], c = shape[1];
+    SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c));
+    const Matrix a = SpecialMatrix(r, c, 0.02, &rng);
+    const Matrix b = SpecialMatrix(r, c, 0.02, &rng);
 
-      Matrix acc_s = RandomMatrix(r, c, &rng);
-      Matrix acc_p = acc_s;
-      s.AxpyInto(a, 0.5f, &acc_s);
-      p.AxpyInto(a, 0.5f, &acc_p);
-      EXPECT_TRUE(BitEqual(acc_s, acc_p));
+    Matrix acc_s = RandomMatrix(r, c, &rng);
+    Matrix acc_v = acc_s;
+    SerialKernelBackend().AxpyInto(a, 0.5f, &acc_s);
+    VectorKernelBackend().AxpyInto(a, 0.5f, &acc_v);
+    EXPECT_TRUE(BitEqual(acc_s, acc_v));
 
-      const Matrix row = RandomMatrix(1, c, &rng);
-      EXPECT_TRUE(BitEqual(s.AddRowBroadcast(a, row),
-                           p.AddRowBroadcast(a, row)));
-      EXPECT_TRUE(BitEqual(s.ConcatCols(a, b), p.ConcatCols(a, b)));
-    }
-  });
+    Matrix onto_zero(r, c);
+    SerialKernelBackend().AxpyInto(a, 1.f, &onto_zero);
+    Matrix first = Matrix::ForOverwrite(r, c);
+    FirstAccumInto(a, &first);
+    EXPECT_TRUE(BitEqual(onto_zero, first));
+
+    EXPECT_TRUE(BitEqual(Add(a, b), Chain(a, EltwiseOp::kAddMat, &b)));
+    EXPECT_TRUE(BitEqual(Sub(a, b), Chain(a, EltwiseOp::kSubMat, &b)));
+    EXPECT_TRUE(BitEqual(Sub(b, a), Chain(a, EltwiseOp::kSubMat, &b, 0.f,
+                                          /*rhs=*/true)));
+    EXPECT_TRUE(BitEqual(Hadamard(a, b), Chain(a, EltwiseOp::kMulMat, &b)));
+    EXPECT_TRUE(BitEqual(Scale(a, -2.5f),
+                         Chain(a, EltwiseOp::kScale, nullptr, -2.5f)));
+    EXPECT_TRUE(BitEqual(AddScalar(a, 0.75f),
+                         Chain(a, EltwiseOp::kAddScalar, nullptr, 0.75f)));
+  }
 }
 
+/// Every activation the replay's eltwise chain can hold, eager vs chain,
+/// over ±0, ±Inf and NaN inputs.
 TEST(BackendEquivalenceTest, Activations) {
   Rng rng(13);
-  ForEachCheckedBackend([&](const KernelBackend& s, const KernelBackend& p) {
-    for (const auto& shape : kShapes) {
-      const int r = shape[0], c = shape[1];
-      SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c));
-      const Matrix a = RandomMatrix(r, c, &rng);
-      EXPECT_TRUE(BitEqual(s.Relu(a), p.Relu(a)));
-      EXPECT_TRUE(BitEqual(s.Sigmoid(a), p.Sigmoid(a)));
-      EXPECT_TRUE(BitEqual(s.Tanh(a), p.Tanh(a)));
-      EXPECT_TRUE(BitEqual(s.Softplus(a), p.Softplus(a)));
-      EXPECT_TRUE(BitEqual(s.Exp(a), p.Exp(a)));
-      const Matrix pos = RandomPositiveMatrix(r, c, &rng);
-      EXPECT_TRUE(BitEqual(s.Log(pos), p.Log(pos)));
-      if (c > 0) {
-        EXPECT_TRUE(BitEqual(s.SoftmaxRows(a), p.SoftmaxRows(a)));
-      }
-    }
-  });
+  for (const auto& shape : kShapes) {
+    const int r = shape[0], c = shape[1];
+    SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c));
+    const Matrix a = SpecialMatrix(r, c, 0.05, &rng);
+    EXPECT_TRUE(BitEqual(Relu(a), Chain(a, EltwiseOp::kRelu)));
+    EXPECT_TRUE(BitEqual(Sigmoid(a), Chain(a, EltwiseOp::kSigmoid)));
+    EXPECT_TRUE(BitEqual(Tanh(a), Chain(a, EltwiseOp::kTanh)));
+    EXPECT_TRUE(BitEqual(Softplus(a), Chain(a, EltwiseOp::kSoftplus)));
+    EXPECT_TRUE(BitEqual(Exp(a), Chain(a, EltwiseOp::kExp)));
+  }
 }
 
+/// The reductions have one implementation each; under both backends they
+/// must equal the GEMMs that compute the same sums in the same order:
+/// ColSum(A) = (A^T 1)^T, RowSum(A) = A 1^T, RowDot(A, B) = diag(A B^T).
 TEST(BackendEquivalenceTest, Reductions) {
   Rng rng(14);
-  ForEachCheckedBackend([&](const KernelBackend& s, const KernelBackend& p) {
+  for (const KernelBackend* backend :
+       {static_cast<const KernelBackend*>(&SerialKernelBackend()),
+        static_cast<const KernelBackend*>(&VectorKernelBackend())}) {
+    SCOPED_TRACE(backend->name());
     for (const auto& shape : kShapes) {
       const int r = shape[0], c = shape[1];
       SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c));
       const Matrix a = RandomMatrix(r, c, &rng);
       const Matrix b = RandomMatrix(r, c, &rng);
-      EXPECT_TRUE(BitEqual(s.RowSum(a), p.RowSum(a)));
-      EXPECT_TRUE(BitEqual(s.RowDot(a, b), p.RowDot(a, b)));
-      EXPECT_TRUE(BitEqual(s.ColSum(a), p.ColSum(a)));
+      EXPECT_TRUE(BitEqual(ColSum(a),
+                           Transpose(backend->MatMulTransA(a, Ones(r, 1)))));
+      EXPECT_TRUE(BitEqual(RowSum(a), backend->MatMulTransB(a, Ones(1, c))));
+      const Matrix gram = backend->MatMulTransB(a, b);
+      Matrix diag(r, 1);
+      for (int i = 0; i < r; ++i) diag.At(i, 0) = gram.At(i, i);
+      EXPECT_TRUE(BitEqual(RowDot(a, b), diag));
     }
-  });
+  }
 }
 
+/// The embedding kernels are one-hot GEMMs: GatherRows(T, ids) =
+/// OneHot(ids) T, and ScatterAddRows(S, ids, out) = out += OneHot(ids)^T S
+/// with colliding ids adding in ascending order — under both backends.
 TEST(BackendEquivalenceTest, GatherAndScatter) {
   Rng rng(15);
-  ForEachCheckedBackend([&](const KernelBackend& s, const KernelBackend& p) {
-    const int table_rows = 23;
+  const int table_rows = 23;
+  for (const KernelBackend* backend :
+       {static_cast<const KernelBackend*>(&SerialKernelBackend()),
+        static_cast<const KernelBackend*>(&VectorKernelBackend())}) {
+    SCOPED_TRACE(backend->name());
     for (int cols : {1, 5, 16}) {
       const Matrix table = RandomMatrix(table_rows, cols, &rng);
       for (int count : {0, 1, 7, 64}) {
         SCOPED_TRACE(std::to_string(count) + " ids, " + std::to_string(cols) +
                      " cols");
         const std::vector<int> ids = RandomIds(count, table_rows, &rng);
-        EXPECT_TRUE(BitEqual(s.GatherRows(table, ids),
-                             p.GatherRows(table, ids)));
+        const Matrix one_hot = OneHot(ids, table_rows);
+        Matrix gathered(count, cols);
+        backend->MatMulAccumInto(one_hot, table, &gathered);
+        EXPECT_TRUE(BitEqual(GatherRows(table, ids), gathered));
 
         const Matrix src = RandomMatrix(count, cols, &rng);
-        Matrix out_s = RandomMatrix(table_rows, cols, &rng);
-        Matrix out_p = out_s;
-        s.ScatterAddRows(src, ids, &out_s);
-        p.ScatterAddRows(src, ids, &out_p);
-        EXPECT_TRUE(BitEqual(out_s, out_p));
+        Matrix scattered = RandomMatrix(table_rows, cols, &rng);
+        Matrix want = scattered;
+        ScatterAddRows(src, ids, &scattered);
+        backend->MatMulAccumInto(Transpose(one_hot), src, &want);
+        EXPECT_TRUE(BitEqual(want, scattered));
       }
     }
-  });
+  }
 }
 
-/// The fused kernels (graph-program replay path): the GEMM+bias+activation
-/// epilogue in every activation variant with and without bias, the fused
-/// elementwise chain, and the planned backward GEMMs — all bit-exact with
-/// serial under the vector backend (whose epilogues run inside the SIMD
-/// tile cores) and the parallel backend at every pool size.
+/// The graph-program replay kernels against the eager sequences they
+/// replace: the fused GEMM+bias+activation epilogue in every activation
+/// variant with and without bias, and a fused elementwise chain.
 TEST(BackendEquivalenceTest, FusedEpilogues) {
   Rng rng(17);
-  const FusedAct kActs[] = {FusedAct::kNone, FusedAct::kRelu,
-                            FusedAct::kSigmoid, FusedAct::kTanh};
-  ForEachCheckedBackend([&](const KernelBackend& s, const KernelBackend& p) {
-    for (const auto& shape : kShapes) {
-      const int m = shape[0], k = shape[1];
-      const int n = 1 + static_cast<int>(rng.NextUint64(19));
-      const Matrix a = RandomMatrix(m, k, &rng);
-      const Matrix b = RandomMatrix(k, n, &rng);
-      const Matrix bias = RandomMatrix(1, n, &rng);
-      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + " * " +
-                   std::to_string(k) + "x" + std::to_string(n));
-      for (const FusedAct act : kActs) {
-        SCOPED_TRACE("act " + std::to_string(static_cast<int>(act)));
-        for (const Matrix* bias_arg : {&bias, static_cast<const Matrix*>(
-                                                  nullptr)}) {
-          Matrix out_s(m, n);
-          Matrix out_p(m, n);
-          s.FusedMatMulBiasActInto(a, b, bias_arg, act, &out_s);
-          p.FusedMatMulBiasActInto(a, b, bias_arg, act, &out_p);
-          EXPECT_TRUE(BitEqual(out_s, out_p));
-        }
+  for (const auto& shape : kShapes) {
+    const int m = shape[0], k = shape[1];
+    const int n = 1 + static_cast<int>(rng.NextUint64(19));
+    const Matrix a = RandomMatrix(m, k, &rng);
+    const Matrix b = RandomMatrix(k, n, &rng);
+    const Matrix bias = RandomMatrix(1, n, &rng);
+    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + " * " +
+                 std::to_string(k) + "x" + std::to_string(n));
+    const Matrix product = SerialMatMul(a, b);
+    for (const FusedAct act : kActs) {
+      SCOPED_TRACE("act " + std::to_string(static_cast<int>(act)));
+      for (const Matrix* bias_arg :
+           {&bias, static_cast<const Matrix*>(nullptr)}) {
+        EXPECT_TRUE(BitEqual(ComposedEpilogue(product, bias_arg, act),
+                             FusedEpilogue(a, b, bias_arg, act)));
       }
-
-      const Matrix ta = RandomMatrix(k, m, &rng);
-      const Matrix tb = RandomMatrix(k, n, &rng);
-      EXPECT_TRUE(BitEqual(s.PlannedMatMulTransA(ta, tb),
-                           p.PlannedMatMulTransA(ta, tb)));
-      const Matrix bb = RandomMatrix(n, k, &rng);
-      EXPECT_TRUE(BitEqual(s.PlannedMatMulTransB(a, bb),
-                           p.PlannedMatMulTransB(a, bb)));
-
-      // A representative fused elementwise chain (the sigmoid-BCE shape):
-      // sigmoid(cur), then side - cur, then scale.
-      const Matrix side = RandomMatrix(m, k, &rng);
-      EltwiseStep steps[3];
-      steps[0].op = EltwiseOp::kSigmoid;
-      steps[1].op = EltwiseOp::kSubMat;
-      steps[1].rhs = true;
-      steps[1].side = side.data();
-      steps[2].op = EltwiseOp::kScale;
-      steps[2].scalar = 0.5f;
-      Matrix ew_s(m, k);
-      Matrix ew_p(m, k);
-      s.FusedEltwiseInto(a, steps, 3, &ew_s);
-      p.FusedEltwiseInto(a, steps, 3, &ew_p);
-      EXPECT_TRUE(BitEqual(ew_s, ew_p));
     }
-  });
+
+    // A representative fused elementwise chain (the sigmoid-BCE shape):
+    // sigmoid(cur), then side - cur, then scale.
+    const Matrix side = RandomMatrix(m, k, &rng);
+    EltwiseStep steps[3];
+    steps[0].op = EltwiseOp::kSigmoid;
+    steps[1].op = EltwiseOp::kSubMat;
+    steps[1].rhs = true;
+    steps[1].side = side.data();
+    steps[2].op = EltwiseOp::kScale;
+    steps[2].scalar = 0.5f;
+    Matrix chain = Matrix::ForOverwrite(m, k);
+    FusedEltwiseInto(a, steps, 3, &chain);
+    EXPECT_TRUE(BitEqual(Scale(Sub(side, Sigmoid(a)), 0.5f), chain));
+  }
 }
 
 /// The GEMM tile paths on the model's real shapes and their edges: row
@@ -308,17 +334,15 @@ TEST(BackendEquivalenceTest, FusedEpilogues) {
 /// column counts around the 8- and 16-lane tiles and the narrow row-lane
 /// tail, and depths from 1 past the 64-step accumulate chunk and the
 /// 128-step TransB panel (880 is the Music-Movie item count TransA runs
-/// at). Every GEMM entry point must match serial bit for bit under the
-/// vector backend and the tile-sharded parallel backend, with IEEE
+/// at). Every backend GEMM must match serial bit for bit under the vector
+/// backend — whose TransA / TransB the replay also calls under either
+/// backend — and the replay's fused epilogue, in every activation with
+/// and without bias, must match the composed serial eager ops, with IEEE
 /// special values in every operand and in the accumulate target.
 TEST(BackendEquivalenceTest, GemmTileSweepWithSpecialValues) {
   Rng rng(18);
   const SerialBackend& serial = SerialKernelBackend();
-  ThreadPool pool(3);
-  const ParallelBackend parallel(&pool);
-  const KernelBackend* const others[] = {&VectorKernelBackend(), &parallel};
-  const FusedAct kActs[] = {FusedAct::kNone, FusedAct::kRelu,
-                            FusedAct::kSigmoid, FusedAct::kTanh};
+  const VectorBackend& vector = VectorKernelBackend();
   for (const int m : {1, 3, 4, 5, 390, 880}) {
     for (const int n : {1, 8, 15, 16, 17, 24, 32, 33}) {
       for (const int k : {1, 16, 32, 880}) {
@@ -336,32 +360,20 @@ TEST(BackendEquivalenceTest, GemmTileSweepWithSpecialValues) {
 
         Matrix accum_s = noise;
         serial.MatMulAccumInto(a, b, &accum_s);
-        const Matrix trans_a_s = serial.MatMulTransA(ta, tb);
-        const Matrix trans_b_s = serial.MatMulTransB(a, bt);
-        const Matrix planned_a_s = serial.PlannedMatMulTransA(ta, tb);
-        const Matrix planned_b_s = serial.PlannedMatMulTransB(a, bt);
-        Matrix fused_s[4];
-        for (int f = 0; f < 4; ++f) {
-          fused_s[f] = Matrix(m, n);
-          serial.FusedMatMulBiasActInto(a, b, &bias, kActs[f], &fused_s[f]);
-        }
-
-        for (const KernelBackend* other : others) {
-          SCOPED_TRACE(other->name());
-          Matrix accum = noise;
-          other->MatMulAccumInto(a, b, &accum);
-          EXPECT_TRUE(BitEqual(accum_s, accum));
-          EXPECT_TRUE(BitEqual(trans_a_s, other->MatMulTransA(ta, tb)));
-          EXPECT_TRUE(BitEqual(trans_b_s, other->MatMulTransB(a, bt)));
-          EXPECT_TRUE(
-              BitEqual(planned_a_s, other->PlannedMatMulTransA(ta, tb)));
-          EXPECT_TRUE(
-              BitEqual(planned_b_s, other->PlannedMatMulTransB(a, bt)));
-          for (int f = 0; f < 4; ++f) {
-            SCOPED_TRACE("act " + std::to_string(f));
-            Matrix fused(m, n);
-            other->FusedMatMulBiasActInto(a, b, &bias, kActs[f], &fused);
-            EXPECT_TRUE(BitEqual(fused_s[f], fused));
+        Matrix accum_v = noise;
+        vector.MatMulAccumInto(a, b, &accum_v);
+        EXPECT_TRUE(BitEqual(accum_s, accum_v));
+        EXPECT_TRUE(BitEqual(serial.MatMulTransA(ta, tb),
+                             vector.MatMulTransA(ta, tb)));
+        EXPECT_TRUE(BitEqual(serial.MatMulTransB(a, bt),
+                             vector.MatMulTransB(a, bt)));
+        const Matrix product = SerialMatMul(a, b);
+        for (const FusedAct act : kActs) {
+          SCOPED_TRACE("act " + std::to_string(static_cast<int>(act)));
+          for (const Matrix* bias_arg :
+               {&bias, static_cast<const Matrix*>(nullptr)}) {
+            EXPECT_TRUE(BitEqual(ComposedEpilogue(product, bias_arg, act),
+                                 FusedEpilogue(a, b, bias_arg, act)));
           }
         }
       }
@@ -370,32 +382,25 @@ TEST(BackendEquivalenceTest, GemmTileSweepWithSpecialValues) {
 }
 
 TEST(BackendEquivalenceTest, BackendGuardSelectsPerThread) {
-  Rng rng(16);
-  const Matrix a = RandomMatrix(4, 4, &rng);
+  EXPECT_STREQ(CurrentBackend().name(), "vector");  // the default
   {
     BackendGuard guard(&SerialKernelBackend());
     EXPECT_STREQ(CurrentBackend().name(), "serial");
     {
-      BackendGuard nested(&ParallelKernelBackend());
-      EXPECT_STREQ(CurrentBackend().name(), "parallel");
+      BackendGuard nested(&VectorKernelBackend());
+      EXPECT_STREQ(CurrentBackend().name(), "vector");
       BackendGuard noop(nullptr);  // keeps whatever is current
-      EXPECT_STREQ(CurrentBackend().name(), "parallel");
+      EXPECT_STREQ(CurrentBackend().name(), "vector");
     }
     EXPECT_STREQ(CurrentBackend().name(), "serial");
-    // Dispatchers follow the guard; result identical either way.
-    EXPECT_TRUE(BitEqual(Add(a, a), SerialKernelBackend().Add(a, a)));
   }
+  EXPECT_STREQ(CurrentBackend().name(), "vector");
 }
 
-TEST(BackendEquivalenceTest, BackendForThreadsMapsKnob) {
-  EXPECT_EQ(BackendForThreads(0), nullptr);
-  EXPECT_EQ(BackendForThreads(1), &SerialKernelBackend());
-  EXPECT_EQ(BackendForThreads(4), &ParallelKernelBackend());
-}
-
-/// End-to-end determinism: the same model trained with the serial backend
-/// and with the parallel backend (shared pool) reaches the bit-identical
-/// final loss — the whole forward/backward/update chain is backend-proof.
+/// End-to-end determinism: the same model trained on the serial reference
+/// (TrainConfig::threads = 1) and on the default vector backend (0)
+/// reaches the bit-identical final loss — the whole forward/backward/update
+/// chain is backend-proof.
 TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalAcrossBackends) {
   NmcdrConfig model_config;
   model_config.hidden_dim = 8;
@@ -413,16 +418,15 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalAcrossBackends) {
   };
 
   const float serial_loss = run(1);
-  const float parallel_loss = run(4);
-  EXPECT_EQ(serial_loss, parallel_loss);  // bitwise, not approximately
+  const float vector_loss = run(0);
+  EXPECT_EQ(serial_loss, vector_loss);  // bitwise, not approximately
 }
 
 /// The vector backend end to end, across the model zoo: every registered
 /// model trained with the register-blocked SIMD kernels (BackendGuard
 /// pinning the vector backend; TrainConfig::threads = 0 inherits it)
 /// reaches the bit-identical final loss of the serial run. This is the
-/// trainer-level arm of the vector bit-exactness contract — the same
-/// guarantee NMCDR_BACKEND=vector relies on in the release-vector CI leg.
+/// trainer-level arm of the vector bit-exactness contract.
 TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalVectorAcrossModels) {
   RegisterAllModels();
   CommonHyper hyper;
@@ -455,8 +459,8 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalVectorAcrossModels) {
 /// The production NMCDR shape (hidden_dim 16, mlp_hidden {32}, the
 /// NmcdrConfig defaults): the tests above train at half that width, while
 /// every production step runs D = 16 GEMMs through the 16-column tiles and
-/// TransB panel and the n = 1 head through the row-lane tail. Serial,
-/// vector and parallel training must end at the bit-identical loss.
+/// TransB panel and the n = 1 head through the row-lane tail. Serial and
+/// vector training must end at the bit-identical loss.
 TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalAtProductionShape) {
   const NmcdrConfig model_config;
   ASSERT_EQ(model_config.hidden_dim, 16);
@@ -476,13 +480,12 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalAtProductionShape) {
 
   const float serial_loss = run(&SerialKernelBackend());
   EXPECT_EQ(serial_loss, run(&VectorKernelBackend()));  // bitwise
-  EXPECT_EQ(serial_loss, run(&ParallelKernelBackend()));
 }
 
 /// Graph-program fusion is numerics-neutral: every registered model
 /// trained with the compiled fused program (TrainConfig::fusion) reaches
 /// the bit-identical final loss of a fully eager run — under the serial
-/// backend and under the parallel backend. This is the model-zoo-wide
+/// backend and under the default vector backend. This is the model-zoo-wide
 /// enforcement arm of the src/program bitwise contract; models whose op
 /// streams the compiler cannot cover fall back to eager and must still
 /// match trivially.
@@ -511,11 +514,11 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalFusedVsEager) {
 
     const float eager_serial = run(/*fusion=*/false, /*threads=*/1);
     const float fused_serial = run(/*fusion=*/true, /*threads=*/1);
-    const float eager_parallel = run(/*fusion=*/false, /*threads=*/4);
-    const float fused_parallel = run(/*fusion=*/true, /*threads=*/4);
-    EXPECT_EQ(eager_serial, fused_serial);      // bitwise, not approximately
-    EXPECT_EQ(eager_parallel, fused_parallel);
-    EXPECT_EQ(eager_serial, eager_parallel);
+    const float eager_vector = run(/*fusion=*/false, /*threads=*/0);
+    const float fused_vector = run(/*fusion=*/true, /*threads=*/0);
+    EXPECT_EQ(eager_serial, fused_serial);  // bitwise, not approximately
+    EXPECT_EQ(eager_vector, fused_vector);
+    EXPECT_EQ(eager_serial, eager_vector);
   }
 }
 
@@ -536,7 +539,6 @@ TEST(BackendEquivalenceTest, TrainerFinalLossIdenticalWithObsOnAndOff) {
     TrainConfig config;
     config.epochs = 2;
     config.batch_size = 64;
-    config.threads = 2;
     Trainer trainer(data->View(), config);
     return trainer.Train(&model).final_loss;
   };

@@ -18,11 +18,12 @@
 #include "program/program.h"
 #include "tensor/arena.h"
 #include "tensor/backend.h"
+#include "tensor/fused_kernels.h"
 #include "tensor/matrix_ops.h"
 #include "tensor/rng.h"
+#include "tensor/vector_kernels.h"
 #include "tests/test_util.h"
 #include "train/trainer.h"
-#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
@@ -125,21 +126,9 @@ TEST(BumpArenaTest, ScopedMatricesBorrowAndCopiesOwnHeap) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused kernels: bit-exact against the op-by-op sequences they replace,
-// under both backends at several pool sizes.
-
-const int kPoolSizes[] = {1, 2, 3, 5};
-
-template <typename Fn>
-void ForEachParallelBackend(Fn check) {
-  const SerialBackend& serial = SerialKernelBackend();
-  for (int pool_size : kPoolSizes) {
-    SCOPED_TRACE("pool size " + std::to_string(pool_size));
-    ThreadPool pool(pool_size);
-    const ParallelBackend parallel(&pool);
-    check(serial, parallel);
-  }
-}
+// Fused kernels: bit-exact against the op-by-op sequences they replace.
+// (BackendEquivalenceTest.GemmTileSweepWithSpecialValues sweeps the same
+// contract over the GEMM tile edges and IEEE specials.)
 
 TEST(FusedKernelTest, MatMulBiasActMatchesComposedOps) {
   Rng rng(11);
@@ -156,59 +145,24 @@ TEST(FusedKernelTest, MatMulBiasActMatchesComposedOps) {
                      "x" + std::to_string(s[2]) + " act " +
                      std::to_string(static_cast<int>(act)) +
                      (with_bias ? " +bias" : ""));
-        const SerialBackend& serial = SerialKernelBackend();
-        // Composed reference: the exact eager sequence the fusion replaces.
-        Matrix want(s[0], s[2]);
-        serial.MatMulAccumInto(a, b, &want);
-        if (with_bias) want = serial.AddRowBroadcast(want, bias);
-        if (act == FusedAct::kRelu) want = serial.Relu(want);
-        if (act == FusedAct::kSigmoid) want = serial.Sigmoid(want);
-        if (act == FusedAct::kTanh) want = serial.Tanh(want);
-
-        Matrix got_serial(s[0], s[2]);
-        serial.FusedMatMulBiasActInto(a, b, with_bias ? &bias : nullptr, act,
-                                      &got_serial);
-        EXPECT_TRUE(BitEqual(want, got_serial));
-
-        ForEachParallelBackend([&](const SerialBackend&,
-                                   const ParallelBackend& parallel) {
-          Matrix got_parallel(s[0], s[2]);
-          parallel.FusedMatMulBiasActInto(a, b, with_bias ? &bias : nullptr,
-                                          act, &got_parallel);
-          EXPECT_TRUE(BitEqual(want, got_parallel));
-        });
+        Matrix got = Matrix::ForOverwrite(s[0], s[2]);
+        VectorFusedMatMul(a, b, with_bias ? &bias : nullptr, act, &got);
+        // The replay runs under either backend, so the composed eager
+        // sequence it replaces must match under each.
+        for (const KernelBackend* backend :
+             {static_cast<const KernelBackend*>(&SerialKernelBackend()),
+              static_cast<const KernelBackend*>(&VectorKernelBackend())}) {
+          SCOPED_TRACE(backend->name());
+          const BackendGuard guard(backend);
+          Matrix want = MatMul(a, b);
+          if (with_bias) want = AddRowBroadcast(want, bias);
+          if (act == FusedAct::kRelu) want = Relu(want);
+          if (act == FusedAct::kSigmoid) want = Sigmoid(want);
+          if (act == FusedAct::kTanh) want = Tanh(want);
+          EXPECT_TRUE(BitEqual(want, got));
+        }
       }
     }
-  }
-}
-
-TEST(FusedKernelTest, PlannedTransGemmsMatchReferenceKernels) {
-  Rng rng(17);
-  // Odd shapes walk every tail-tile width (32/16/8/4/1 float, 8/4/2/1
-  // double); RandomMatrix's zeros exercise the av == 0 skip both kernels
-  // share.
-  const int shapes[][3] = {{1, 1, 1},   {2, 3, 2},    {7, 5, 9},
-                           {16, 16, 16}, {33, 17, 21}, {64, 31, 33}};
-  for (const auto& s : shapes) {
-    SCOPED_TRACE(std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
-                 std::to_string(s[2]));
-    const SerialBackend& serial = SerialKernelBackend();
-    // TransA: A is [k, m], grad-like B is [k, n].
-    const Matrix a = RandomMatrix(s[0], s[1], &rng);
-    const Matrix g = RandomMatrix(s[0], s[2], &rng);
-    const Matrix want_ta = serial.MatMulTransA(a, g);
-    EXPECT_TRUE(BitEqual(want_ta, serial.PlannedMatMulTransA(a, g)));
-    // TransB: grad-like A is [m, n], B is [j, n].
-    const Matrix gy = RandomMatrix(s[0], s[1], &rng);
-    const Matrix b = RandomMatrix(s[2], s[1], &rng);
-    const Matrix want_tb = serial.MatMulTransB(gy, b);
-    EXPECT_TRUE(BitEqual(want_tb, serial.PlannedMatMulTransB(gy, b)));
-
-    ForEachParallelBackend(
-        [&](const SerialBackend&, const ParallelBackend& parallel) {
-          EXPECT_TRUE(BitEqual(want_ta, parallel.PlannedMatMulTransA(a, g)));
-          EXPECT_TRUE(BitEqual(want_tb, parallel.PlannedMatMulTransB(gy, b)));
-        });
   }
 }
 
@@ -235,33 +189,23 @@ TEST(FusedKernelTest, EltwiseChainMatchesComposedOps) {
   steps.push_back({EltwiseOp::kExp, false, 0.f, nullptr});
   steps.push_back({EltwiseOp::kRelu, false, 0.f, nullptr});
 
-  const SerialBackend& serial = SerialKernelBackend();
   // Composed reference via the separate eager kernels.
-  Matrix want = serial.Add(a, s1);
-  want = serial.Sub(want, s2);
-  want = serial.Sub(s3, want);
-  want = serial.Hadamard(want, s1);
-  want = serial.Scale(want, 0.25f);
-  want = serial.AddScalar(want, -0.5f);
-  want = serial.Tanh(want);
-  want = serial.Scale(serial.AddScalar(want, -1.f), -1.f);  // 1 - x
-  want = serial.Softplus(want);
-  want = serial.Sigmoid(want);
-  want = serial.Exp(want);
-  want = serial.Relu(want);
+  Matrix want = Add(a, s1);
+  want = Sub(want, s2);
+  want = Sub(s3, want);
+  want = Hadamard(want, s1);
+  want = Scale(want, 0.25f);
+  want = AddScalar(want, -0.5f);
+  want = Tanh(want);
+  want = Scale(AddScalar(want, -1.f), -1.f);  // 1 - x
+  want = Softplus(want);
+  want = Sigmoid(want);
+  want = Exp(want);
+  want = Relu(want);
 
-  Matrix got(9, 7);
-  serial.FusedEltwiseInto(a, steps.data(), static_cast<int>(steps.size()),
-                          &got);
+  Matrix got = Matrix::ForOverwrite(9, 7);
+  FusedEltwiseInto(a, steps.data(), static_cast<int>(steps.size()), &got);
   EXPECT_TRUE(BitEqual(want, got));
-
-  ForEachParallelBackend([&](const SerialBackend&,
-                             const ParallelBackend& parallel) {
-    Matrix got_parallel(9, 7);
-    parallel.FusedEltwiseInto(a, steps.data(),
-                              static_cast<int>(steps.size()), &got_parallel);
-    EXPECT_TRUE(BitEqual(want, got_parallel));
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -141,14 +140,10 @@ TEST(TrainerTest, BestCheckpointRestoredAfterDegradation) {
   EXPECT_NEAR(model.quality(), 9.f, 1e-5f);
 }
 
-/// Training runs on one thread by default: with no NMCDR_BACKEND override
-/// the process default is the vector backend, and a threads = 0 run of the
-/// production NMCDR shape dispatches nothing onto the shared pool — no
-/// per-kernel fork/join on any step.
+/// Training runs on one thread: the default backend is the vector one,
+/// and a threads = 0 run of the production NMCDR shape dispatches nothing
+/// onto the shared pool — no per-kernel fork/join on any step.
 TEST(TrainerTest, DefaultTrainingForksNothing) {
-  if (std::getenv("NMCDR_BACKEND") != nullptr) {
-    GTEST_SKIP() << "NMCDR_BACKEND pins the process-default backend";
-  }
   EXPECT_STREQ(CurrentBackend().name(), "vector");
 
   auto data = TinyData();
@@ -162,6 +157,15 @@ TEST(TrainerTest, DefaultTrainingForksNothing) {
   const int64_t before = pool->tasks_executed();
   trainer.Train(&model);
   EXPECT_EQ(pool->tasks_executed(), before);
+}
+
+/// TrainConfig::threads picks a backend, never a thread count: 0 inherits,
+/// 1 pins the serial reference, and Trainer rejects anything else.
+TEST(TrainerDeathTest, RejectsThreadsAboveOne) {
+  auto data = TinyData();
+  TrainConfig config;
+  config.threads = 2;
+  EXPECT_DEATH(Trainer(data->View(), config), "config_.threads");
 }
 
 /// The replayed step hands kernels unfilled arena storage for every output

@@ -8,7 +8,7 @@
 //            method name; class-less annotations match free functions)
 //          + resolved callees of calls made inside ThreadPool
 //            dispatch-lambda bodies outside src/util/ (drainer lambdas,
-//            backend ParallelFor bodies — hot without annotation)
+//            serving ParallelFor bodies — hot without annotation)
 //   close  = BFS over Func::calls' resolved keys, recording a provenance
 //            chain ("A -> B -> C") per reached function
 //   prune  = NMCDR_COLD functions are neither scanned nor descended into

@@ -16,7 +16,7 @@
 //                shape-only, so even full is cheap)
 //   --gradcheck  additionally run the finite-difference gradient checks of
 //                the op suite (real kernels; still fast), once per kernel
-//                backend (serial and parallel)
+//                backend (serial and vector)
 //   --programs   additionally audit the graph-program compiler
 //                (src/program): per (model, scenario), record one real
 //                training step, replay a second, and require the compiled
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
     // Every backward pass must verify under BOTH kernel backends: the
     // backends are bit-exact by contract, so any divergence here is a
     // backend bug, not a gradient bug.
-    const nmcdr::KernelBackend* backends[] = {
-        &nmcdr::SerialKernelBackend(), &nmcdr::ParallelKernelBackend()};
+    const nmcdr::KernelBackend* backends[] = {&nmcdr::SerialKernelBackend(),
+                                              &nmcdr::VectorKernelBackend()};
     for (const nmcdr::KernelBackend* backend : backends) {
       const std::vector<nmcdr::verify::GradCheckIssue> issues =
           nmcdr::verify::RunAllGradChecks(backend);

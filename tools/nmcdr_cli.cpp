@@ -10,19 +10,12 @@
 //       scenario on shared user keys.
 //   run --scenario music-movie [--file s.tsv] --model NMCDR --ku 0.5
 //       [--ds 1.0] [--dim 16] [--lr 0.002] [--steps 1200] [--seed 7]
-//       [--threads N] [--backend serial|vector|parallel]
 //       [--no-fusion] [--gat] [--dynamic-companion]
 //       [--save-checkpoint ckpt.bin] [--load-checkpoint ckpt.bin]
 //       [--metrics-out metrics.json] [--profile]
 //       Train and evaluate one model on one configuration; prints
-//       HR@10 / NDCG@10 / MRR per domain. Training runs on one thread
-//       of vector tile cores by default; --threads N > 1 trains on the
-//       parallel backend over an N-thread shared pool, N = 1 on the
-//       serial reference (results are bit-identical at any setting).
-//       --backend pins the process-default kernel backend (overrides
-//       NMCDR_BACKEND): serial reference, register-blocked vector SIMD
-//       (the default), or pool-sharded parallel — bit-identical results
-//       by the backend contract, so this is a perf/debug switch.
+//       HR@10 / NDCG@10 / MRR per domain. Training runs on the calling
+//       thread on the vector tile cores (src/tensor/backend.h).
 //       --no-fusion trains fully eager instead of compiling the
 //       step into a graph program (src/program); fused and eager runs
 //       are bitwise identical, so this is a debugging/benchmark switch
@@ -46,11 +39,9 @@
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "data/presets.h"
-#include "tensor/backend.h"
 #include "train/registry.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
@@ -137,21 +128,6 @@ int CmdImport(const FlagParser& flags) {
 int CmdRun(const FlagParser& flags) {
   RegisterAllModels();
   if (flags.GetBool("profile", false)) obs::SetProfilingEnabled(true);
-  if (flags.Has("threads")) {
-    ThreadPool::SetSharedThreads(flags.GetInt("threads", 0));
-  }
-  if (flags.Has("backend")) {
-    const std::string backend_name = flags.GetString("backend", "");
-    const KernelBackend* backend = BackendByName(backend_name);
-    if (backend == nullptr) {
-      std::fprintf(stderr,
-                   "--backend %s: unknown (serial, vector, parallel)\n",
-                   backend_name.c_str());
-      return 2;
-    }
-    SetDefaultBackend(backend);
-    std::printf("kernel backend: %s\n", backend->name());
-  }
   // 1. Scenario: preset or file.
   CdrScenario scenario;
   if (flags.Has("file")) {
@@ -192,7 +168,6 @@ int CmdRun(const FlagParser& flags) {
   train.batch_size = flags.GetInt("batch", 256);
   train.eval_every = -1;
   train.early_stop_patience = flags.GetInt("patience", 3);
-  train.threads = flags.GetInt("threads", 0);
   train.fusion = !flags.GetBool("no-fusion", false);
   train.verbose = flags.GetBool("verbose", false);
 

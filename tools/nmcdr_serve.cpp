@@ -6,7 +6,6 @@
 //               [--steps 600] [--dim 16] [--seed 7]
 //               [--snapshot model.snapshot] [--threads 4] [--batch 8]
 //               [--requests 400] [--k 10] [--mode exact|fast|quantized]
-//               [--backend serial|vector|parallel]
 //               [--shards N] [--layout layout.json]
 //               [--metrics-out metrics.json] [--profile]
 //
@@ -14,16 +13,12 @@
 // throughput stats, and leaves the snapshot file on disk so a later run
 // can be pointed at it (skipping training) with --load-only.
 //
-// --threads N sizes both the shared kernel pool (training + batched
-// scoring; defaults to NMCDR_THREADS or all cores) and the server's
-// concurrent drainer limit.
-//
-// --backend pins the process-default kernel backend (same knob as
-// NMCDR_BACKEND, which it overrides): `serial` is the bit-exact
-// reference, `vector` (default) the register-blocked SIMD kernels on the
-// calling thread, `parallel` the pool-sharded tiles over the vector
-// cores. Results are bit-identical across all three by the backend
-// contract.
+// --threads N (default 4) sizes both the shared pool the serving path
+// fans out over (without the flag: NMCDR_THREADS or all cores) and the
+// server's concurrent drainer limit; training runs on the calling thread
+// either way. --threads, --batch and --k must be positive and --requests
+// non-negative: the tool rejects anything else with exit code 2 before
+// training.
 //
 // --mode quantized serves the per-row int8 item tables
 // (serving/quantized_snapshot.h): the tool quantizes at freeze, saves the
@@ -53,6 +48,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/nmcdr_model.h"
@@ -67,7 +63,6 @@
 #include "serving/model_snapshot.h"
 #include "serving/quantized_snapshot.h"
 #include "serving/score_engine.h"
-#include "tensor/backend.h"
 #include "train/experiment.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
@@ -126,22 +121,22 @@ int Run(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.GetBool("profile", false)) obs::SetProfilingEnabled(true);
   MetricsFlusher metrics_flusher(flags.GetString("metrics-out", ""));
-  if (flags.Has("threads")) {
-    ThreadPool::SetSharedThreads(flags.GetInt("threads", 0));
-  }
-  if (flags.Has("backend")) {
-    const std::string backend_name = flags.GetString("backend", "");
-    const KernelBackend* backend = BackendByName(backend_name);
-    if (backend == nullptr) {
-      std::fprintf(stderr,
-                   "--backend %s: unknown (serial, vector, parallel)\n",
-                   backend_name.c_str());
+  // Flag validation before the (seconds-long) train/freeze work below.
+  const int num_threads = flags.GetInt("threads", 4);
+  const int max_batch = flags.GetInt("batch", 8);
+  const int k = flags.GetInt("k", 10);
+  const int num_requests = flags.GetInt("requests", 400);
+  for (const auto& [name, value, min] :
+       {std::tuple{"threads", num_threads, 1},
+        std::tuple{"batch", max_batch, 1}, std::tuple{"k", k, 1},
+        std::tuple{"requests", num_requests, 0}}) {
+    if (value < min) {
+      std::fprintf(stderr, "--%s %d: must be at least %d\n", name, value,
+                   min);
       return 2;
     }
-    SetDefaultBackend(backend);
-    std::printf("kernel backend: %s\n", backend->name());
   }
-  // Flag validation before the (seconds-long) train/freeze work below.
+  if (flags.Has("threads")) ThreadPool::SetSharedThreads(num_threads);
   ScoreEngine::Options engine_options;
   const std::string mode_name = flags.GetString("mode", "fast");
   if (mode_name == "exact") {
@@ -231,13 +226,11 @@ int Run(int argc, char** argv) {
         snapshot, layout, sharded_options);
 
     cluster::ClusterServer::Options cluster_options;
-    cluster_options.num_threads = flags.GetInt("threads", 4);
-    cluster_options.max_batch = flags.GetInt("batch", 8);
+    cluster_options.num_threads = num_threads;
+    cluster_options.max_batch = max_batch;
     cluster_options.metrics = &obs::MetricsRegistry::Global();
     cluster::ClusterServer server(sharded, cluster_options);
 
-    const int num_requests = flags.GetInt("requests", 400);
-    const int k = flags.GetInt("k", 10);
     std::vector<std::future<cluster::ClusterResponse>> futures;
     futures.reserve(num_requests);
     for (int i = 0; i < num_requests; ++i) {
@@ -303,8 +296,8 @@ int Run(int argc, char** argv) {
   const ScoreEngine& engine = *engine_storage;
 
   InferenceServer::Options server_options;
-  server_options.num_threads = flags.GetInt("threads", 4);
-  server_options.max_batch = flags.GetInt("batch", 8);
+  server_options.num_threads = num_threads;
+  server_options.max_batch = max_batch;
   // Bind the server to the global registry so its serving.* metrics land
   // in the --metrics-out dump alongside the trainer and kernel tables.
   server_options.metrics = &obs::MetricsRegistry::Global();
@@ -313,8 +306,6 @@ int Run(int argc, char** argv) {
   // Mixed request stream: same-domain traffic for both domains plus a
   // cross-domain slice (domain-1 users asking for domain-0 items, served
   // cold-start when the identity link is unknown).
-  const int num_requests = flags.GetInt("requests", 400);
-  const int k = flags.GetInt("k", 10);
   std::vector<std::future<Recommendation>> futures;
   futures.reserve(num_requests);
   for (int i = 0; i < num_requests; ++i) {
