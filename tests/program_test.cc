@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -127,8 +128,8 @@ TEST(BumpArenaTest, ScopedMatricesBorrowAndCopiesOwnHeap) {
 
 // ---------------------------------------------------------------------------
 // Fused kernels: bit-exact against the op-by-op sequences they replace.
-// (BackendEquivalenceTest.GemmTileSweepWithSpecialValues sweeps the same
-// contract over the GEMM tile edges and IEEE specials.)
+// (BackendEquivalenceTest.GemmTileSweepWithSpecialValues sweeps the GEMM
+// contract over the tile edges and IEEE specials.)
 
 TEST(FusedKernelTest, MatMulBiasActMatchesComposedOps) {
   Rng rng(11);
@@ -163,6 +164,42 @@ TEST(FusedKernelTest, MatMulBiasActMatchesComposedOps) {
         }
       }
     }
+  }
+}
+
+// The replay's fused-matmul backward runs the vector TransA / TransB
+// cores under either backend, in place of the eager serial calls.
+TEST(FusedKernelTest, PlannedTransGemmsMatchReferenceKernels) {
+  Rng rng(17);
+  // Odd shapes walk every tail-tile width; RandomMatrix's zeros exercise
+  // the zero skip both kernels share.
+  const int shapes[][3] = {{1, 1, 1},   {2, 3, 2},    {7, 5, 9},
+                           {16, 16, 16}, {33, 17, 21}, {64, 31, 33}};
+  const SerialBackend& serial = SerialKernelBackend();
+  const VectorBackend& vector = VectorKernelBackend();
+  for (const auto& s : shapes) {
+    SCOPED_TRACE(std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
+                 std::to_string(s[2]));
+    // TransA: A is [k, m], grad-like B is [k, n].
+    const Matrix a = RandomMatrix(s[0], s[1], &rng);
+    const Matrix g = RandomMatrix(s[0], s[2], &rng);
+    const Matrix want_ta = serial.MatMulTransA(a, g);
+    EXPECT_TRUE(BitEqual(want_ta, vector.MatMulTransA(a, g)));
+    // TransB: grad-like A is [m, n], B is [j, n].
+    const Matrix gy = RandomMatrix(s[0], s[1], &rng);
+    const Matrix b = RandomMatrix(s[2], s[1], &rng);
+    const Matrix want_tb = serial.MatMulTransB(gy, b);
+    EXPECT_TRUE(BitEqual(want_tb, vector.MatMulTransB(gy, b)));
+
+    // The raw cores overwrite their output without reading it.
+    Matrix out_ta(s[1], s[2]);
+    out_ta.Fill(std::numeric_limits<float>::quiet_NaN());
+    VectorMatMulTransA(a, g, &out_ta);
+    EXPECT_TRUE(BitEqual(want_ta, out_ta));
+    Matrix out_tb(s[0], s[2]);
+    out_tb.Fill(std::numeric_limits<float>::quiet_NaN());
+    VectorMatMulTransB(gy, b, &out_tb);
+    EXPECT_TRUE(BitEqual(want_tb, out_tb));
   }
 }
 
