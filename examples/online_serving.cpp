@@ -2,18 +2,23 @@
 // serving world, train NMCDR offline on the pairwise scenario, freeze it
 // into a serving snapshot, and deploy the frozen ScoreEngine in a
 // three-group A/B test — Control (popularity), random, and NMCDR — then
-// hammer the concurrent InferenceServer with a burst of mixed requests
-// (including cross-domain cold-start users) and print its stats.
+// hammer a ClusterServer over the snapshot (one shard) with a burst of
+// mixed requests (including cross-domain cold-start users) and print its
+// served count and latency quantiles.
 //
 //   ./build/examples/online_serving
 
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <utility>
 
 #include "core/nmcdr_model.h"
+#include "obs/metrics.h"
 #include "serving/ab_test.h"
-#include "serving/inference_server.h"
+#include "serving/cluster/cluster_server.h"
+#include "serving/cluster/shard_layout.h"
+#include "serving/cluster/sharded_snapshot.h"
 #include "serving/model_snapshot.h"
 #include "serving/score_engine.h"
 #include "train/experiment.h"
@@ -98,35 +103,51 @@ int main() {
               static_cast<long long>(ab_counters.requests),
               static_cast<long long>(ab_counters.pairs_scored));
 
-  // 5. Concurrent serving burst: 4 workers drain a queue of top-10
-  // retrievals, a third of them cross-domain (Fund users asking for Loan
-  // recommendations — cold-start for users without a Loan account).
-  InferenceServer::Options server_options;
+  // 5. Concurrent serving burst: up to 4 drainers on the shared pool
+  // score a queue of top-10 retrievals, a third of them cross-domain (Fund
+  // users asking for Loan recommendations — cold-start for users without
+  // a Loan account).
+  cluster::ClusterServer::Options server_options;
   server_options.num_threads = 4;
   server_options.max_batch = 8;
-  InferenceServer server(&engine, server_options);
-  std::vector<std::future<Recommendation>> futures;
+  cluster::ClusterServer server(
+      std::make_shared<const cluster::ShardedSnapshot>(
+          snapshot, cluster::ShardLayout::Uniform(snapshot, 1)),
+      server_options);
+  std::vector<std::future<cluster::ClusterResponse>> futures;
   const int burst = 600;
+  futures.reserve(burst);
   for (int i = 0; i < burst; ++i) {
-    RecRequest request;
+    cluster::ClusterRequest request;
     if (i % 3 == 0) {
-      request.target_domain = 0;  // Loan recommendations...
-      request.user_domain = 1;    // ...for Fund users
-      request.user = i % world.NumUsers(1);
+      request.rec.target_domain = 0;  // Loan recommendations...
+      request.rec.user_domain = 1;    // ...for Fund users
+      request.rec.user = i % world.NumUsers(1);
     } else {
-      request.target_domain = request.user_domain = i % 2;
-      request.user = i % world.NumUsers(request.user_domain);
+      request.rec.target_domain = request.rec.user_domain = i % 2;
+      request.rec.user = i % world.NumUsers(request.rec.user_domain);
     }
-    request.k = 10;
-    futures.push_back(server.Submit(request));
+    request.rec.k = 10;
+    futures.push_back(server.Submit(std::move(request)));
   }
+  int64_t served = 0;
   int64_t cold = 0;
   for (auto& future : futures) {
-    if (future.get().cold_start) ++cold;
+    const cluster::ClusterResponse response = future.get();
+    if (response.status != cluster::ClusterStatus::kOk) continue;
+    ++served;
+    if (response.rec.cold_start) ++cold;
   }
   server.Stop();
-  std::printf("\nburst of %d top-10 requests (%lld served cold-start)\n",
-              burst, static_cast<long long>(cold));
-  std::printf("%s", server.stats().ToString().c_str());
+  const obs::Histogram& latency =
+      server.metrics_registry().GetLatencyHistogram(
+          "cluster.latency_ms.interactive");
+  std::printf("\nburst of %d top-10 requests: %lld served (%lld cold-start)\n",
+              burst, static_cast<long long>(served),
+              static_cast<long long>(cold));
+  std::printf("latency ms: mean %.3f, p50 %.3f, p95 %.3f, p99 %.3f, "
+              "max %.3f\n",
+              latency.Mean(), latency.Quantile(0.50), latency.Quantile(0.95),
+              latency.Quantile(0.99), latency.Max());
   return 0;
 }

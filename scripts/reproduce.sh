@@ -13,12 +13,13 @@
 #              pre-release gate; budget ~3x the plain smoke time.
 #   --fast   — both sanitizer legs run only the TSan-filtered concurrent
 #              subset CI uses (serving_engine_test serving_test
-#              thread_pool_test backend_equivalence_test integration_test
-#              obs_test program_test trainer_test — the last two cover the
-#              fused graph-program replay, which dispatches onto the same
-#              shared pool). Catches the races and lifetime bugs that
-#              actually involve threads in a fraction of the time; use it
-#              for iterating, keep the default for sign-off.
+#              cluster_test thread_pool_test backend_equivalence_test
+#              integration_test obs_test program_test trainer_test — the
+#              last two cover the fused graph-program replay, which
+#              dispatches onto the same shared pool). Catches the races
+#              and lifetime bugs that actually involve threads in a
+#              fraction of the time; use it for iterating, keep the
+#              default for sign-off.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,11 +32,13 @@ SCALE="${1:-small}"
 export NMCDR_BENCH_SCALE="$SCALE"
 
 # The concurrent-surface test subset (mirrors the CI tsan-serving job).
-# program_test / trainer_test exercise the fused graph-program replay
-# (fusion is default-on) next to the pool-backed tests.
-SANITIZER_SUBSET=(serving_engine_test serving_test thread_pool_test
-  backend_equivalence_test integration_test obs_test program_test
-  trainer_test)
+# cluster_test holds the server's concurrency tests (drainers, Stop/drain,
+# publishes under load); program_test / trainer_test exercise the fused
+# graph-program replay (fusion is default-on) next to the pool-backed
+# tests.
+SANITIZER_SUBSET=(serving_engine_test serving_test cluster_test
+  thread_pool_test backend_equivalence_test integration_test obs_test
+  program_test trainer_test)
 
 cmake -B build -G Ninja
 cmake --build build

@@ -16,9 +16,9 @@
 namespace nmcdr {
 namespace cluster {
 
-/// The cluster serving front end: admission control in front, the
-/// RCU-published ShardedSnapshot behind. Like InferenceServer it owns no
-/// threads — up to `num_threads` drainer tasks run on
+/// The serving front end: admission control in front, the RCU-published
+/// ShardedSnapshot behind (one shard serves a monolithic snapshot). It
+/// owns no threads — up to `num_threads` drainer tasks run on
 /// ThreadPool::Shared(), each pass popping up to `max_batch` admitted
 /// tickets (interactive first), acquiring the current snapshot version
 /// ONCE, and scoring the whole batch on it. A snapshot published
@@ -26,9 +26,9 @@ namespace cluster {
 /// the version they acquired — that, plus the registry's refcounting, is
 /// the zero-downtime swap (bench_cluster demonstrates it under load).
 ///
-/// Invariant (same as InferenceServer): whenever the admission queue is
-/// non-empty, a drainer is active or being dispatched; Stop() returns
-/// only once the queue is drained and every drainer has retired.
+/// Invariant: whenever the admission queue is non-empty, a drainer is
+/// active or being dispatched; Stop() returns only once the queue is
+/// drained and every drainer has retired.
 ///
 /// Shedding is part of the contract, not an error path: a Submit against
 /// a full class queue resolves its future immediately with
@@ -38,7 +38,8 @@ namespace cluster {
 /// counts are recorded per class in the metrics registry
 /// (cluster.{submitted,served,shed_queue_full,shed_deadline}.<class>,
 /// cluster.latency_ms.<class>, cluster.queue_depth.<class>) —
-/// unconditionally, like InferenceServer's accounting.
+/// unconditionally: the traffic counts are part of the server's contract
+/// (tests assert exact values), so the obs enable flags do not apply.
 class ClusterServer {
  public:
   struct Options {
@@ -99,9 +100,9 @@ class ClusterServer {
   void Shed(AdmissionTicket&& ticket, ClusterStatus status);
 
   /// Reserves a drainer slot when `queued` admitted tickets justify one
-  /// (same invariant as InferenceServer). Returns true when the caller
-  /// must dispatch a DrainLoop task — after releasing mu_, never under
-  /// it.
+  /// (the non-empty-queue-has-a-drainer invariant, plus extra
+  /// parallelism up to num_threads). Returns true when the caller must
+  /// dispatch a DrainLoop task — after releasing mu_, never under it.
   bool TryReserveDrainerLocked(int queued) NMCDR_REQUIRES(mu_);
 
   Options options_;

@@ -9,7 +9,6 @@
 #include "serving/scoring_kernels.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace nmcdr {
 namespace {
@@ -68,10 +67,6 @@ void ScoreScratch::Prepare(int num_items, int item_block, int head_width,
     uw.resize(dim);
     qu.resize(dim);
   }
-}
-
-void BatchScoreScratch::Prepare(size_t n) {
-  if (per_request.size() < n) per_request.resize(n);
 }
 
 ScoreEngine::ScoreEngine(const ModelSnapshot* snapshot, Options options)
@@ -305,27 +300,12 @@ Recommendation ScoreEngine::TopKWithScratch(const RecRequest& request,
 std::vector<Recommendation> ScoreEngine::TopKBatch(
     const std::vector<RecRequest>& requests) const {
   for (const RecRequest& request : requests) ValidateRequest(request);
-  BatchScoreScratch scratch;
-  return TopKBatchWithScratch(requests, &scratch);
-}
-
-std::vector<Recommendation> ScoreEngine::TopKBatchWithScratch(
-    const std::vector<RecRequest>& requests,
-    BatchScoreScratch* scratch) const {
-  // Requests are independent, so the batch fans out across the shared
-  // pool (grain 1: one request is already a full-catalog scan). Request i
-  // always uses scratch slot i, so concurrent chunks touch disjoint
-  // buffers and the output is identical to the serial loop.
-  scratch->Prepare(requests.size());
-  // NMCDR_LINT_ALLOW(hot-alloc): output materialization, one per batch.
-  std::vector<Recommendation> out(requests.size());
-  ThreadPool::Shared()->ParallelFor(
-      0, static_cast<int64_t>(requests.size()), /*grain=*/1,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          out[i] = TopKWithScratch(requests[i], &scratch->per_request[i]);
-        }
-      });
+  ScoreScratch scratch;
+  std::vector<Recommendation> out;
+  out.reserve(requests.size());
+  for (const RecRequest& request : requests) {
+    out.push_back(TopKWithScratch(request, &scratch));
+  }
   return out;
 }
 

@@ -2,9 +2,12 @@
 // ShardLayout round-trips, sharded-vs-monolithic top-K bit-exactness,
 // RCU snapshot publishing (including the concurrent 100-version
 // hot-swap run that the TSan CI job exercises), admission control, and
-// the ClusterServer end to end.
+// the ClusterServer end to end: bit-exact responses at 1 and 3 shards,
+// the Stop/drain protocol, and its cluster.* counters and latency
+// histograms.
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/nmcdr_model.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "serving/cluster/admission.h"
 #include "serving/cluster/cluster_server.h"
@@ -373,55 +377,194 @@ std::shared_ptr<const ShardedSnapshot> MakeSharded(const ModelSnapshot& source,
       source, ShardLayout::Uniform(source, shards));
 }
 
+/// Served requests across both classes, from the server's counters.
+int64_t ServedCount(ClusterServer& server) {
+  obs::MetricsRegistry& metrics = server.metrics_registry();
+  return metrics.GetCounter("cluster.served.interactive").Value() +
+         metrics.GetCounter("cluster.served.batch").Value();
+}
+
+/// A same-domain request for `user` in domain `i % 2`; every 4th request
+/// is batch class, the rest interactive.
+ClusterRequest SameDomainRequest(int i, int user, int k) {
+  ClusterRequest request;
+  request.rec.target_domain = request.rec.user_domain = i % 2;
+  request.rec.user = user;
+  request.rec.k = k;
+  request.cls =
+      i % 4 == 1 ? RequestClass::kBatch : RequestClass::kInteractive;
+  return request;
+}
+
 TEST(ClusterServerTest, ServesBitExactResponses) {
   const ModelSnapshot& snapshot = Pair().snapshot;
   const std::vector<RecRequest> requests = MixedRequests(snapshot, 5);
   const ScoreEngine engine(&snapshot);
   const std::vector<Recommendation> expected = engine.TopKBatch(requests);
 
+  // One shard is the monolithic deployment; three add the fan-out/merge.
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE(shards);
+    ClusterServer::Options options;
+    options.num_threads = 3;
+    options.max_batch = 4;
+    ClusterServer server(MakeSharded(snapshot, shards), options);
+    std::vector<std::future<ClusterResponse>> futures;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ClusterRequest request;
+      request.rec = requests[i];
+      request.cls =
+          i % 3 == 0 ? RequestClass::kBatch : RequestClass::kInteractive;
+      futures.push_back(server.Submit(std::move(request)));
+    }
+    std::vector<Recommendation> served;
+    for (auto& future : futures) {
+      ClusterResponse response = future.get();
+      ASSERT_EQ(response.status, ClusterStatus::kOk);
+      EXPECT_EQ(response.snapshot_version, 1);
+      EXPECT_GE(response.latency_ms, 0.0);
+      served.push_back(std::move(response.rec));
+    }
+    ExpectSameRecommendations(expected, served);
+    server.Stop();
+    EXPECT_EQ(server.active_drainers(), 0);
+    EXPECT_EQ(server.last_observed_version(), 1);
+    EXPECT_EQ(ServedCount(server), static_cast<int64_t>(requests.size()));
+  }
+}
+
+TEST(ClusterServerTest, StopDrainsQueueAndLeavesNoActiveDrainers) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer::Options options;
+  options.num_threads = 3;
+  options.max_batch = 2;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+
+  // Burst-submit, then stop at once: Stop() must block until every
+  // admitted request has been served through the shared pool — no work
+  // is dropped and no drainer task outlives the server.
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(server.Submit(SameDomainRequest(i, i % 12, 4)));
+  }
+  server.Stop();
+  EXPECT_EQ(server.active_drainers(), 0);
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const ClusterResponse response = future.get();
+    EXPECT_EQ(response.status, ClusterStatus::kOk);
+    EXPECT_FALSE(response.rec.items.empty());
+  }
+  EXPECT_EQ(ServedCount(server), 32);
+}
+
+TEST(ClusterServerTest, LatencyQuantilesAreMonotoneUnderLoad) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer::Options options;
+  options.num_threads = 4;
+  options.max_batch = 4;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int i = 0; i < 128; ++i) {
+    ClusterRequest request = SameDomainRequest(i, i % 12, 5);
+    request.cls = RequestClass::kInteractive;
+    futures.push_back(server.Submit(std::move(request)));
+  }
+  for (auto& future : futures) {
+    ASSERT_EQ(future.get().status, ClusterStatus::kOk);
+  }
+  server.Stop();
+
+  // Bucket-interpolated estimates, but monotone and bounded by the
+  // observed maximum.
+  const obs::Histogram& latency =
+      server.metrics_registry().GetLatencyHistogram(
+          "cluster.latency_ms.interactive");
+  EXPECT_EQ(latency.Count(), 128);
+  EXPECT_GT(latency.Quantile(0.50), 0.0);
+  EXPECT_LE(latency.Quantile(0.50), latency.Quantile(0.95));
+  EXPECT_LE(latency.Quantile(0.95), latency.Quantile(0.99));
+  EXPECT_LE(latency.Quantile(0.99), latency.Max());
+}
+
+TEST(ClusterServerTest, CountersAreMonotoneAcrossConcurrentScrapes) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
   ClusterServer::Options options;
   options.num_threads = 3;
   options.max_batch = 4;
-  ClusterServer server(MakeSharded(snapshot, 3), options);
-  std::vector<std::future<ClusterResponse>> futures;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ClusterRequest request;
-    request.rec = requests[i];
-    request.cls =
-        i % 3 == 0 ? RequestClass::kBatch : RequestClass::kInteractive;
-    futures.push_back(server.Submit(std::move(request)));
-  }
-  std::vector<Recommendation> served;
-  for (auto& future : futures) {
-    ClusterResponse response = future.get();
-    ASSERT_EQ(response.status, ClusterStatus::kOk);
-    EXPECT_EQ(response.snapshot_version, 1);
-    EXPECT_GE(response.latency_ms, 0.0);
-    served.push_back(std::move(response.rec));
-  }
-  ExpectSameRecommendations(expected, served);
-  server.Stop();
-  EXPECT_EQ(server.active_drainers(), 0);
-  EXPECT_EQ(server.last_observed_version(), 1);
-
+  ClusterServer server(MakeSharded(snapshot, 1), options);
   obs::MetricsRegistry& metrics = server.metrics_registry();
-  const int64_t served_count =
-      metrics.GetCounter("cluster.served.interactive").Value() +
-      metrics.GetCounter("cluster.served.batch").Value();
-  EXPECT_EQ(served_count, static_cast<int64_t>(requests.size()));
+
+  // Scrape the counters while requests are in flight: per class, neither
+  // count ever decreases from one scrape to the next, and served never
+  // overtakes submitted.
+  int64_t last_submitted[kNumRequestClasses] = {};
+  int64_t last_served[kNumRequestClasses] = {};
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      futures.push_back(
+          server.Submit(SameDomainRequest(i, (round * 16 + i) % 12, 4)));
+    }
+    for (int c = 0; c < kNumRequestClasses; ++c) {
+      const std::string cls = RequestClassName(static_cast<RequestClass>(c));
+      const int64_t served =
+          metrics.GetCounter("cluster.served." + cls).Value();
+      const int64_t submitted =
+          metrics.GetCounter("cluster.submitted." + cls).Value();
+      EXPECT_GE(submitted, last_submitted[c]) << cls;
+      EXPECT_GE(served, last_served[c]) << cls;
+      EXPECT_LE(served, submitted) << cls;
+      last_submitted[c] = submitted;
+      last_served[c] = served;
+    }
+  }
+  for (auto& future : futures) {
+    ASSERT_EQ(future.get().status, ClusterStatus::kOk);
+  }
+  server.Stop();
+  EXPECT_EQ(metrics.GetCounter("cluster.submitted.interactive").Value() +
+                metrics.GetCounter("cluster.submitted.batch").Value(),
+            128);
+  EXPECT_EQ(ServedCount(server), 128);
+}
+
+TEST(ClusterServerTest, SharedRegistryReceivesServingMetrics) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  obs::MetricsRegistry registry;
+  ClusterServer::Options options;
+  options.num_threads = 2;
+  options.metrics = &registry;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+  EXPECT_EQ(&server.metrics_registry(), &registry);
+  for (int d = 0; d < 2; ++d) {
+    ClusterRequest request = SameDomainRequest(d, 0, 4);
+    request.cls = RequestClass::kInteractive;
+    ASSERT_EQ(server.Submit(std::move(request)).get().status,
+              ClusterStatus::kOk);
+  }
+  server.Stop();
+  EXPECT_EQ(registry.GetCounter("cluster.submitted.interactive").Value(), 2);
+  EXPECT_EQ(registry.GetCounter("cluster.served.interactive").Value(), 2);
+  EXPECT_EQ(
+      registry.GetLatencyHistogram("cluster.latency_ms.interactive").Count(),
+      2);
 }
 
 TEST(ClusterServerTest, SubmitAfterStopResolvesStopped) {
   const ModelSnapshot& snapshot = Pair().snapshot;
   ClusterServer server(MakeSharded(snapshot, 2), ClusterServer::Options());
   server.Stop();
+  server.Stop();  // a second Stop is a no-op
   ClusterRequest request;
   request.rec.k = 3;
   ClusterResponse response = server.Submit(std::move(request)).get();
   EXPECT_EQ(response.status, ClusterStatus::kStopped);
-  EXPECT_EQ(
-      server.metrics_registry().GetCounter("cluster.stopped_rejects").Value(),
-      1);
+  obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.GetCounter("cluster.stopped_rejects").Value(), 1);
+  // The late submit was never admitted.
+  EXPECT_EQ(metrics.GetCounter("cluster.submitted.interactive").Value(), 0);
 }
 
 TEST(ClusterServerTest, NanosecondDeadlineShedsEveryQueuedRequest) {

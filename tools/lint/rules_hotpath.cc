@@ -380,7 +380,7 @@ bool IsHeavyTypeToken(const std::string& tok) {
   static const std::set<std::string> kHeavy = {
       "Matrix", "RecRequest", "Recommendation", "AdmissionTicket",
       "ClusterRequest", "ClusterResponse", "FrozenPredictionHead",
-      "FrozenDomainState", "Pending", "ServerStats", "vector", "string"};
+      "FrozenDomainState", "Pending", "vector", "string"};
   if (kHeavy.count(tok) != 0) return true;
   return (tok.size() > 8 && tok.ends_with("Snapshot")) ||
          (tok.size() > 6 && tok.ends_with("Layout"));

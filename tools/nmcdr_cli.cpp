@@ -4,12 +4,15 @@
 //   list-models
 //       Print every registered model name.
 //   generate --scenario music-movie --scale small --out scenario.tsv
+//       [--seed 17]
 //       Generate a synthetic scenario preset and save it as TSV.
 //   import --z loan.tsv --zbar fund.tsv --min-interactions 5 --out s.tsv
+//       [--min-rating 0] [--skip-header] [--separator '\t'] [--name s]
 //       Join two real interaction logs (user<TAB>item[<TAB>rating]) into a
 //       scenario on shared user keys.
-//   run --scenario music-movie [--file s.tsv] --model NMCDR --ku 0.5
-//       [--ds 1.0] [--dim 16] [--lr 0.002] [--steps 1200] [--seed 7]
+//   run --scenario music-movie [--scale small] [--file s.tsv] --model NMCDR
+//       --ku 0.5 [--ds 1.0] [--dim 16] [--lr 0.002] [--steps 1200]
+//       [--batch 256] [--patience 3] [--k 10] [--seed 7] [--verbose]
 //       [--no-fusion] [--gat] [--dynamic-companion]
 //       [--save-checkpoint ckpt.bin] [--load-checkpoint ckpt.bin]
 //       [--metrics-out metrics.json] [--profile]
@@ -25,12 +28,18 @@
 //       per-op call counts, per-kernel call/FLOP table) after the run;
 //       --profile also records per-op/per-kernel wall time.
 //
+// Each subcommand exits 2, naming the flag on stderr, when given a flag
+// it does not read or a --scale other than smoke, small or full.
+//
 // Examples:
 //   nmcdr_cli run --scenario phone-elec --model NMCDR --ku 0.1
 //   nmcdr_cli run --file my_scenario.tsv --model PTUPCDR --steps 2000
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <string_view>
 
 #include "autograd/serialization.h"
 #include "core/nmcdr_model.h"
@@ -53,10 +62,33 @@ int Usage() {
   return 2;
 }
 
-BenchScale ParseScale(const std::string& s) {
-  if (s == "smoke") return BenchScale::kSmoke;
-  if (s == "full") return BenchScale::kFull;
-  return BenchScale::kSmall;
+/// Names the first flag that `known` does not list and returns false:
+/// a typo or a removed option must fail the run, not silently run a
+/// configuration nobody asked for.
+bool OnlyKnownFlags(const FlagParser& flags,
+                    std::initializer_list<std::string_view> known) {
+  for (const std::string& name : flags.FlagNames()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "--%s: unknown flag\n", name.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Parses --scale (default small); an unknown value is named on stderr.
+bool ParseScale(const FlagParser& flags, BenchScale* scale) {
+  const std::string name = flags.GetString("scale", "small");
+  for (const BenchScale candidate :
+       {BenchScale::kSmoke, BenchScale::kSmall, BenchScale::kFull}) {
+    if (BenchScaleName(candidate) == name) {
+      *scale = candidate;
+      return true;
+    }
+  }
+  std::fprintf(stderr, "--scale %s: unknown (smoke, small, full)\n",
+               name.c_str());
+  return false;
 }
 
 bool PresetByName(const std::string& name, BenchScale scale,
@@ -72,7 +104,8 @@ bool PresetByName(const std::string& name, BenchScale scale,
   return false;
 }
 
-int CmdListModels() {
+int CmdListModels(const FlagParser& flags) {
+  if (!OnlyKnownFlags(flags, {})) return 2;
   RegisterAllModels();
   for (const std::string& name : ModelRegistry::Instance().Names()) {
     std::printf("%s\n", name.c_str());
@@ -81,10 +114,14 @@ int CmdListModels() {
 }
 
 int CmdGenerate(const FlagParser& flags) {
+  BenchScale scale;
+  if (!OnlyKnownFlags(flags, {"scenario", "scale", "seed", "out"}) ||
+      !ParseScale(flags, &scale)) {
+    return 2;
+  }
   SyntheticScenarioSpec spec;
   const std::string scenario = flags.GetString("scenario", "music-movie");
-  if (!PresetByName(scenario, ParseScale(flags.GetString("scale", "small")),
-                    &spec)) {
+  if (!PresetByName(scenario, scale, &spec)) {
     std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
     return 2;
   }
@@ -102,6 +139,10 @@ int CmdGenerate(const FlagParser& flags) {
 }
 
 int CmdImport(const FlagParser& flags) {
+  if (!OnlyKnownFlags(flags, {"z", "zbar", "min-interactions", "min-rating",
+                              "skip-header", "separator", "name", "out"})) {
+    return 2;
+  }
   ImportOptions options;
   options.min_user_interactions = flags.GetInt("min-interactions", 5);
   options.min_rating = flags.GetDouble("min-rating", 0.0);
@@ -126,6 +167,16 @@ int CmdImport(const FlagParser& flags) {
 }
 
 int CmdRun(const FlagParser& flags) {
+  BenchScale scale;
+  if (!OnlyKnownFlags(
+          flags, {"scenario", "scale", "file", "model", "ku", "ds", "dim",
+                  "lr", "steps", "batch", "patience", "seed", "k",
+                  "no-fusion", "gat", "dynamic-companion", "verbose",
+                  "save-checkpoint", "load-checkpoint", "metrics-out",
+                  "profile"}) ||
+      !ParseScale(flags, &scale)) {
+    return 2;
+  }
   RegisterAllModels();
   if (flags.GetBool("profile", false)) obs::SetProfilingEnabled(true);
   // 1. Scenario: preset or file.
@@ -135,8 +186,7 @@ int CmdRun(const FlagParser& flags) {
   } else {
     SyntheticScenarioSpec spec;
     const std::string name = flags.GetString("scenario", "music-movie");
-    if (!PresetByName(name, ParseScale(flags.GetString("scale", "small")),
-                      &spec)) {
+    if (!PresetByName(name, scale, &spec)) {
       std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
       return 2;
     }
@@ -253,7 +303,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   FlagParser flags(argc - 1, argv + 1);
-  if (command == "list-models") return CmdListModels();
+  if (command == "list-models") return CmdListModels(flags);
   if (command == "generate") return CmdGenerate(flags);
   if (command == "import") return CmdImport(flags);
   if (command == "run") return CmdRun(flags);
