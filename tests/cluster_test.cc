@@ -402,35 +402,68 @@ TEST(ClusterServerTest, ServesBitExactResponses) {
   const ScoreEngine engine(&snapshot);
   const std::vector<Recommendation> expected = engine.TopKBatch(requests);
 
-  // One shard is the monolithic deployment; three add the fan-out/merge.
-  for (int shards : {1, 3}) {
-    SCOPED_TRACE(shards);
-    ClusterServer::Options options;
-    options.num_threads = 3;
-    options.max_batch = 4;
-    ClusterServer server(MakeSharded(snapshot, shards), options);
-    std::vector<std::future<ClusterResponse>> futures;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ClusterRequest request;
-      request.rec = requests[i];
-      request.cls =
-          i % 3 == 0 ? RequestClass::kBatch : RequestClass::kInteractive;
-      futures.push_back(server.Submit(std::move(request)));
-    }
-    std::vector<Recommendation> served;
-    for (auto& future : futures) {
-      ClusterResponse response = future.get();
-      ASSERT_EQ(response.status, ClusterStatus::kOk);
-      EXPECT_EQ(response.snapshot_version, 1);
-      EXPECT_GE(response.latency_ms, 0.0);
-      served.push_back(std::move(response.rec));
-    }
-    ExpectSameRecommendations(expected, served);
-    server.Stop();
-    EXPECT_EQ(server.active_drainers(), 0);
-    EXPECT_EQ(server.last_observed_version(), 1);
-    EXPECT_EQ(ServedCount(server), static_cast<int64_t>(requests.size()));
+  ClusterServer::Options options;
+  options.num_threads = 3;
+  options.max_batch = 4;
+  ClusterServer server(MakeSharded(snapshot, 3), options);
+  std::vector<std::future<ClusterResponse>> futures;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ClusterRequest request;
+    request.rec = requests[i];
+    request.cls =
+        i % 3 == 0 ? RequestClass::kBatch : RequestClass::kInteractive;
+    futures.push_back(server.Submit(std::move(request)));
   }
+  std::vector<Recommendation> served;
+  for (auto& future : futures) {
+    ClusterResponse response = future.get();
+    ASSERT_EQ(response.status, ClusterStatus::kOk);
+    EXPECT_EQ(response.snapshot_version, 1);
+    EXPECT_GE(response.latency_ms, 0.0);
+    served.push_back(std::move(response.rec));
+  }
+  ExpectSameRecommendations(expected, served);
+  server.Stop();
+  EXPECT_EQ(server.active_drainers(), 0);
+  EXPECT_EQ(server.last_observed_version(), 1);
+  EXPECT_EQ(ServedCount(server), static_cast<int64_t>(requests.size()));
+}
+
+TEST(ClusterServerTest, ConcurrentResultsIdenticalToDirectEngine) {
+  // The monolithic deployment: one shard, four drainers, batches of at
+  // most four. Every response equals the unsharded engine's TopK.
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  const ScoreEngine engine(&snapshot);
+  ClusterServer::Options options;
+  options.num_threads = 4;
+  options.max_batch = 4;
+  ClusterServer server(MakeSharded(snapshot, 1), options);
+
+  std::vector<RecRequest> requests;
+  std::vector<std::future<ClusterResponse>> futures;
+  for (int i = 0; i < 64; ++i) {
+    ClusterRequest request = SameDomainRequest(i, i % 12, 3 + i % 5);
+    if (i % 3 == 0) {
+      request.rec.user_domain = 1 - request.rec.target_domain;
+    }
+    requests.push_back(request.rec);
+    futures.push_back(server.Submit(std::move(request)));
+  }
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ClusterResponse response = futures[i].get();
+    ASSERT_EQ(response.status, ClusterStatus::kOk) << "request " << i;
+    const Recommendation want = engine.TopK(requests[i]);
+    EXPECT_EQ(response.rec.items, want.items) << "request " << i;
+    EXPECT_EQ(response.rec.scores, want.scores) << "request " << i;
+    EXPECT_EQ(response.rec.cold_start, want.cold_start) << "request " << i;
+  }
+  server.Stop();
+  EXPECT_EQ(server.active_drainers(), 0);
+  obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.GetCounter("cluster.submitted.interactive").Value() +
+                metrics.GetCounter("cluster.submitted.batch").Value(),
+            64);
+  EXPECT_EQ(ServedCount(server), 64);
 }
 
 TEST(ClusterServerTest, StopDrainsQueueAndLeavesNoActiveDrainers) {
@@ -556,15 +589,35 @@ TEST(ClusterServerTest, SubmitAfterStopResolvesStopped) {
   const ModelSnapshot& snapshot = Pair().snapshot;
   ClusterServer server(MakeSharded(snapshot, 2), ClusterServer::Options());
   server.Stop();
-  server.Stop();  // a second Stop is a no-op
   ClusterRequest request;
   request.rec.k = 3;
   ClusterResponse response = server.Submit(std::move(request)).get();
   EXPECT_EQ(response.status, ClusterStatus::kStopped);
+  EXPECT_EQ(
+      server.metrics_registry().GetCounter("cluster.stopped_rejects").Value(),
+      1);
+}
+
+TEST(ClusterServerTest, StopIsIdempotentAndFailsLateSubmits) {
+  const ModelSnapshot& snapshot = Pair().snapshot;
+  ClusterServer server(MakeSharded(snapshot, 1), ClusterServer::Options());
+  ClusterRequest served;
+  served.rec.k = 2;
+  ASSERT_EQ(server.Submit(std::move(served)).get().status,
+            ClusterStatus::kOk);
+  server.Stop();
+  server.Stop();  // a second Stop is a no-op
+  EXPECT_EQ(server.active_drainers(), 0);
+  ClusterRequest late;
+  late.rec.user = 1;
+  late.rec.k = 2;
+  EXPECT_EQ(server.Submit(std::move(late)).get().status,
+            ClusterStatus::kStopped);
   obs::MetricsRegistry& metrics = server.metrics_registry();
   EXPECT_EQ(metrics.GetCounter("cluster.stopped_rejects").Value(), 1);
   // The late submit was never admitted.
-  EXPECT_EQ(metrics.GetCounter("cluster.submitted.interactive").Value(), 0);
+  EXPECT_EQ(metrics.GetCounter("cluster.submitted.interactive").Value(), 1);
+  EXPECT_EQ(ServedCount(server), 1);
 }
 
 TEST(ClusterServerTest, NanosecondDeadlineShedsEveryQueuedRequest) {
